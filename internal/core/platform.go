@@ -835,7 +835,6 @@ func (p *Platform) infra() runtime.Infra {
 		IdleTimeout:          p.cfg.IdleTimeout,
 		ConcurrencyMode:      p.cfg.ConcurrencyMode,
 		DefaultInvokeTimeout: p.cfg.DefaultInvokeTimeout,
-		Events:               p.bus.Publish,
 		EventsBatch:          p.bus.PublishBatch,
 		EventsNeeded:         p.bus.NeedsEvents,
 		TombstoneTTL:         p.cfg.TombstoneTTL,

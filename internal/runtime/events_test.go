@@ -43,9 +43,9 @@ type eventRecorder struct {
 	events []trigger.Event
 }
 
-func (r *eventRecorder) emit(ev trigger.Event) {
+func (r *eventRecorder) emit(evs []trigger.Event) {
 	r.mu.Lock()
-	r.events = append(r.events, ev)
+	r.events = append(r.events, evs...)
 	r.mu.Unlock()
 }
 
@@ -55,11 +55,11 @@ func (r *eventRecorder) snapshot() []trigger.Event {
 	return append([]trigger.Event(nil), r.events...)
 }
 
-// newEventsRuntime builds a runtime whose Events hook records into rec.
+// newEventsRuntime builds a runtime whose EventsBatch hook records into rec.
 func newEventsRuntime(t *testing.T, mode model.ConcurrencyMode, rec *eventRecorder) *ClassRuntime {
 	t.Helper()
 	infra := testInfra(t)
-	infra.Events = rec.emit
+	infra.EventsBatch = rec.emit
 	rt, err := New(infra, resolvedClass(t, eventsYAML(mode), "Counter"), stdTemplate())
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestCommitEventDepthPropagates(t *testing.T) {
 func TestStatelessClassEmitsNothing(t *testing.T) {
 	rec := &eventRecorder{}
 	infra := testInfra(t)
-	infra.Events = rec.emit
+	infra.EventsBatch = rec.emit
 	rt, err := New(infra, resolvedClass(t, `classes:
   - name: Pure
     functions:

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"github.com/hpcclab/oparaca-go/internal/memtable"
+	"github.com/hpcclab/oparaca-go/internal/trigger"
 )
 
 // This file holds the warm-path allocation machinery: precomputed
@@ -71,19 +72,22 @@ func (rt *ClassRuntime) keysFor(objectID string) *objectKeys {
 	return ok2
 }
 
-// invokeScratch pools the invocation-internal maps of one
-// load→invoke→commit attempt. Every field stays inside the runtime:
-// nothing here is ever reachable from a handler (see the file comment
-// for the boundary contract).
+// invokeScratch pools the invocation-internal transients of one commit
+// window (every attempt reuses them) or one readonly load. Every field
+// stays inside the runtime: nothing here is ever reachable from a
+// handler (see the file comment for the boundary contract).
 type invokeScratch struct {
-	// got receives the versioned table read (OCC paths).
+	// got receives the versioned table read (commit windows).
 	got map[string]memtable.VersionedValue
-	// raw receives the unversioned table read (locked/readonly paths).
+	// raw receives the unversioned table read (readonly path).
 	raw map[string]json.RawMessage
 	// ops accumulates the commit's CAS operations. The memtable clones
 	// written values and retains neither the map nor its CASOp
 	// entries, so releasing after PutManyIfVersion returns is safe.
 	ops map[string]memtable.CASOp
+	// evs collects the window's StateChanged events for its one
+	// Infra.EventsBatch publication, which must not retain the slice.
+	evs []trigger.Event
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -106,6 +110,8 @@ func (sc *invokeScratch) release() {
 	clear(sc.got)
 	clear(sc.raw)
 	clear(sc.ops)
+	clear(sc.evs)
+	sc.evs = sc.evs[:0]
 	scratchPool.Put(sc)
 }
 

@@ -81,26 +81,22 @@ type Infra struct {
 	// without a platform-imposed deadline (request contexts still
 	// apply).
 	DefaultInvokeTimeout time.Duration
-	// Events receives one trigger.StateChanged event per committed
-	// write invocation with a non-empty state delta on a stateful class
-	// — emitted by every commit path (locked window, OCC/adaptive CAS
-	// commit, InvokeBatch group commit) after the commit lands, never
-	// on abort, for readonly calls, or for committed calls that wrote
-	// nothing (no state changed, so there is nothing to react to). nil
+	// EventsBatch receives the trigger.StateChanged events of one
+	// committed window as a single publication: one event per
+	// committed write invocation with a non-empty state delta on a
+	// stateful class (all sharing the object), published after the
+	// commit lands — never on abort, for readonly calls, or for
+	// committed calls that wrote nothing (no state changed, so there is
+	// nothing to react to). A single Invoke publishes a one-event
+	// slice. The slice is only valid for the duration of the call. nil
 	// disables emission.
-	Events func(trigger.Event)
+	EventsBatch func([]trigger.Event)
 	// EventsNeeded, when set, reports whether any event consumer — a
 	// durable event log, a matching subscription, or a live stream —
-	// currently exists for the class. Commit paths consult it before
-	// constructing an event so a bus nobody listens to costs the warm
-	// path nothing. nil means events are always needed.
+	// currently exists for the class. The commit window consults it
+	// before constructing an event so a bus nobody listens to costs the
+	// warm path nothing. nil means events are always needed.
 	EventsNeeded func(class string) bool
-	// EventsBatch, when set, receives the StateChanged events of one
-	// group-committed invocation batch as a single publication (all
-	// events share the object): the bus appends them to the durable
-	// event log in one backing write, matching the group commit's own
-	// one-write cost. nil falls back to per-event Events calls.
-	EventsBatch func([]trigger.Event)
 	// TombstoneTTL evicts a deleted key's version tombstone this long
 	// after the deletion, bounding state-table growth under object
 	// churn (see memtable.Config.TombstoneTTL). Zero keeps tombstones
@@ -114,15 +110,16 @@ type Infra struct {
 	// during an outage are surfaced as degraded reads. nil means never
 	// degraded.
 	Degraded func() bool
-	// Fence, when set, is consulted at every commit exit (locked, OCC,
-	// adaptive, and group-commit) immediately before the state delta is
+	// Fence, when set, is consulted by the commit window, in every
+	// concurrency mode, immediately before its merged delta is
 	// persisted. A non-nil return aborts the commit without writing
-	// anything — the cluster ownership layer uses it to reject commits
-	// admitted under an ownership epoch that has since moved, so a
-	// paused or partitioned ex-owner can never double-commit. nil (the
-	// default, and whenever ownership is disabled) costs the warm path
-	// nothing. Read-only invocations and empty deltas never fence: they
-	// commit nothing, so there is nothing to protect.
+	// anything and fails every call the window carried — the cluster
+	// ownership layer uses it to reject commits admitted under an
+	// ownership epoch that has since moved, so a paused or partitioned
+	// ex-owner can never double-commit. nil (the default, and whenever
+	// ownership is disabled) costs the warm path nothing. Read-only
+	// invocations and empty deltas never fence: they commit nothing, so
+	// there is nothing to protect.
 	Fence func(ctx context.Context, objectID string) error
 	// PprofLabels wraps handler execution in runtime/pprof.Do with
 	// class/function labels so CPU profiles attribute samples to
@@ -176,11 +173,11 @@ type ClassRuntime struct {
 	// touching disjoint keys of one wide object stop aborting each
 	// other, at the cost of admitting write skew on unwritten reads.
 	occKeysOnly bool
-	// objLocks serializes the load→invoke→merge window of concurrent
-	// invocations on one object in the locked mode and in OCC/adaptive
-	// fallbacks (see invokeFn). Striped: two distinct objects contend
-	// only on a stripe collision (1/objLockStripes per pair), trading
-	// a bounded chance of transient false sharing for constant memory.
+	// objLocks serializes the commit window of concurrent invocations
+	// on one object in the locked mode (see runWindow). Striped: two
+	// distinct objects contend only on a stripe collision
+	// (1/objLockStripes per pair), trading a bounded chance of
+	// transient false sharing for constant memory.
 	objLocks *striped.Mutexes
 	// delGuard keeps administrative state operations serialized with
 	// lock-free invocations: optimistic invocations hold their
@@ -213,6 +210,11 @@ type ClassRuntime struct {
 
 	reg   *metrics.Registry
 	meter *metrics.Meter
+	// Metric handles, resolved once in New: every Registry lookup takes
+	// the registry mutex, which concurrent invocations would contend.
+	commits, aborts, retries, fallbacks *metrics.Counter
+	readonly, total, failures           *metrics.Counter
+	latency                             *metrics.Histogram
 }
 
 // refsEntry is one cached presigned-ref bundle.
@@ -361,6 +363,14 @@ func New(infra Infra, class *model.Class, tmpl Template) (*ClassRuntime, error) 
 		reg:        metrics.NewRegistry(),
 		meter:      metrics.NewMeter(10*time.Second, 10, infra.Clock.Now),
 	}
+	rt.commits = rt.reg.Counter("occ.commits")
+	rt.aborts = rt.reg.Counter("occ.aborts")
+	rt.retries = rt.reg.Counter("occ.retries")
+	rt.fallbacks = rt.reg.Counter("occ.fallbacks")
+	rt.readonly = rt.reg.Counter("invoke.readonly")
+	rt.total = rt.reg.Counter("invoke.total")
+	rt.failures = rt.reg.Counter("invoke.errors")
+	rt.latency = rt.reg.Histogram("invoke.latency")
 	for _, k := range class.Keys {
 		if k.Kind != model.KindFile {
 			rt.stateSpecs = append(rt.stateSpecs, k)
@@ -453,14 +463,14 @@ type ConcurrencyStats struct {
 	// Mode is the resolved concurrency mode ("occ", "locked",
 	// "adaptive").
 	Mode string `json:"mode"`
-	// Commits counts committed write invocations: one per successful
-	// version-validated per-call commit, and one per call carried by a
-	// successful merged group commit (InvokeBatch), so the counter
-	// tracks invocations, not CAS operations. Aborts counts commit
-	// passes rejected on a version mismatch; Retries counts
-	// re-load+re-run passes after an abort; Fallbacks counts
-	// invocations (or groups) that ran under the stripe lock because
-	// of retry exhaustion or an adaptive degradation.
+	// Commits counts committed write invocations: one per call a
+	// successful version-validated window commit carried (a single
+	// Invoke is a window of one), so the counter tracks invocations,
+	// not CAS operations; locked-mode windows commit unvalidated and
+	// count none. Aborts counts window passes rejected on a version
+	// mismatch; Retries counts re-load+re-run passes after an abort;
+	// Fallbacks counts windows that ran behind the exclusive barrier
+	// because of retry exhaustion or an adaptive degradation.
 	Commits   int64 `json:"commits"`
 	Aborts    int64 `json:"aborts"`
 	Retries   int64 `json:"retries"`
@@ -474,11 +484,11 @@ type ConcurrencyStats struct {
 func (rt *ClassRuntime) ConcurrencyStats() ConcurrencyStats {
 	return ConcurrencyStats{
 		Mode:      string(rt.concMode),
-		Commits:   rt.reg.Counter("occ.commits").Value(),
-		Aborts:    rt.reg.Counter("occ.aborts").Value(),
-		Retries:   rt.reg.Counter("occ.retries").Value(),
-		Fallbacks: rt.reg.Counter("occ.fallbacks").Value(),
-		Readonly:  rt.reg.Counter("invoke.readonly").Value(),
+		Commits:   rt.commits.Value(),
+		Aborts:    rt.aborts.Value(),
+		Retries:   rt.retries.Value(),
+		Fallbacks: rt.fallbacks.Value(),
+		Readonly:  rt.readonly.Value(),
 	}
 }
 
@@ -740,7 +750,8 @@ func (rt *ClassRuntime) ctxAbort(ctx context.Context, fn model.FunctionDef) erro
 // FaaS engine, and merges the returned state delta back into the state
 // table (the pure-function contract, paper §III-C). The function's
 // effective deadline (if any) is applied here, min-combining with
-// whatever deadline the request context already carries.
+// whatever deadline the request context already carries, and covers
+// every commit attempt.
 func (rt *ClassRuntime) Invoke(ctx context.Context, objectID, function string, payload json.RawMessage, args map[string]string) (json.RawMessage, error) {
 	fn, ok := rt.class.Function(function)
 	if !ok {
@@ -753,77 +764,27 @@ func (rt *ClassRuntime) Invoke(ctx context.Context, objectID, function string, p
 	}
 	start := rt.infra.Clock.Now()
 	out, err := rt.invokeFn(ctx, objectID, fn, payload, args)
-	rt.reg.Histogram("invoke.latency").Observe(rt.infra.Clock.Since(start))
-	rt.reg.Counter("invoke.total").Inc()
-	rt.meter.Mark(1)
+	failed := 0
 	if err != nil {
-		rt.reg.Counter("invoke.errors").Inc()
-		return nil, err
+		failed = 1
 	}
-	return out, nil
+	rt.observe(start, 1, failed)
+	return out, err
 }
 
-// invokeFn is the uninstrumented invocation path. How the
-// load→invoke→merge window is protected against concurrent invocations
-// on the same object depends on the class's concurrency mode:
-//
-//   - locked: the whole window runs under the object's striped lock
-//     (the PR-2 pessimistic baseline) — hot-object invocations queue.
-//   - occ: the handler runs lock-free on a version-stamped snapshot
-//     and the delta commits through a validated compare-and-swap
-//     (memtable.PutManyIfVersion); on ErrVersionMismatch the
-//     invocation re-loads and re-runs (the pure-function contract
-//     makes re-execution safe), escalating to the exclusive
-//     delete-guard barrier after maxOCCAttempts so progress never
-//     depends on winning the race.
-//   - adaptive (default): per-object abort-rate EWMA picks between
-//     the two — lock-free while commits land, the serializing barrier
-//     while the object is pathologically write-hot, back to lock-free
-//     when aborts subside. Every non-locked commit is
-//     version-validated, so mixing the regimes on one object cannot
-//     lose updates.
-//
-// Functions annotated readonly skip locking and the merge/commit
-// entirely and serve concurrently straight from the state table, in
-// every mode. Stateless classes keep the PR-2 behaviour (no lock, no
-// versioning — there is no state to race on), so parallel dataflow
-// fan-out steps stay concurrent.
-//
-// Because lock-free invocations hold only the read side of their
-// delete-guard stripe, the PR-2 rule that a handler must never
-// synchronously invoke another stateful object of the same class is
-// relaxed under occ: a nested invocation on a colliding stripe shares
-// the read side and proceeds, where the old exclusive stripe
-// deadlocked unconditionally. It can still deadlock if an exclusive
-// acquisition (object delete/init, or a barrier fallback) wedges
-// between the two read holds of one goroutine, so dataflows/async
-// remain the guaranteed-safe composition; under locked mode the
-// original constraint stands.
+// invokeFn is the uninstrumented invocation path. Functions annotated
+// readonly skip the commit window and serve concurrently straight from
+// the state table, in every concurrency mode; every other call runs as
+// a commit window of one (see commitWindow and runWindow), on the
+// caller's stack.
 func (rt *ClassRuntime) invokeFn(ctx context.Context, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string) (json.RawMessage, error) {
 	if fn.Readonly {
 		return rt.invokeReadonly(ctx, objectID, fn, payload, args)
 	}
-	if len(rt.stateSpecs) == 0 || rt.concMode == model.ConcurrencyLocked {
-		return rt.invokeLockedPlain(ctx, objectID, fn, payload, args)
-	}
-	// One hash resolves the object's stripe for both the delete guard
-	// and its contention tracker, keeping the two aligned.
-	stripe := rt.delGuard.Index(objectID)
-	guard := rt.delGuard.At(stripe)
-	tr := &rt.contention[stripe]
-	if rt.concMode == model.ConcurrencyAdaptive && tr.useLocked() {
-		rt.reg.Counter("occ.fallbacks").Inc()
-		return rt.invokeBarrier(ctx, guard, objectID, fn, payload, args, tr)
-	}
-	out, err := rt.invokeOCC(ctx, guard, objectID, fn, payload, args, tr)
-	if err != nil && errors.Is(err, memtable.ErrVersionMismatch) {
-		// The bounded lock-free loop kept losing the commit race;
-		// finish behind the barrier, which drains and excludes the
-		// racers, so progress never depends on winning a CAS.
-		rt.reg.Counter("occ.fallbacks").Inc()
-		return rt.invokeBarrier(ctx, guard, objectID, fn, payload, args, tr)
-	}
-	return out, err
+	group := [1]writerCall{{fn: fn, payload: payload, args: args}}
+	var results [1]BatchCallResult
+	rt.commitWindow(ctx, objectID, group[:], results[:])
+	return results[0].Output, results[0].Err
 }
 
 // contentionFor returns the contention tracker of an object's stripe
@@ -839,44 +800,10 @@ func (rt *ClassRuntime) contentionFor(objectID string) *contentionTracker {
 // actually be listening. Checked before any event or key-slice
 // allocation so an unobserved commit costs nothing.
 func (rt *ClassRuntime) eventsNeeded() bool {
-	if (rt.infra.Events == nil && rt.infra.EventsBatch == nil) || len(rt.stateSpecs) == 0 {
+	if rt.infra.EventsBatch == nil || len(rt.stateSpecs) == 0 {
 		return false
 	}
 	return rt.infra.EventsNeeded == nil || rt.infra.EventsNeeded(rt.class.Name)
-}
-
-// emitCommit publishes the StateChanged event of one committed write
-// invocation: called once per committed call by every commit path,
-// after its persistence step succeeded. Keys carries the sorted key
-// names of the call's delta (deletes included), Depth the
-// trigger-chain depth of the invocation so chained reactions can be
-// cycle-limited. Committed calls whose delta is empty emit nothing —
-// no state changed, so there is no mutation to react to — and neither
-// do stateless classes.
-func (rt *ClassRuntime) emitCommit(ctx context.Context, objectID string, fn model.FunctionDef, delta map[string]json.RawMessage, args map[string]string) {
-	if len(delta) == 0 || !rt.eventsNeeded() {
-		return
-	}
-	rt.emitCommitKeys(ctx, objectID, fn, deltaKeys(delta), args)
-}
-
-// emitCommitKeys is emitCommit for callers that already hold the
-// delta's sorted key names (the group-commit path). The event carries
-// the committing invocation's traceparent so the trigger plane
-// (dispatch, webhook delivery) re-joins the trace.
-func (rt *ClassRuntime) emitCommitKeys(ctx context.Context, objectID string, fn model.FunctionDef, keys []string, args map[string]string) {
-	if len(keys) == 0 || rt.infra.Events == nil || !rt.eventsNeeded() {
-		return
-	}
-	rt.infra.Events(trigger.Event{
-		Type:     trigger.StateChanged,
-		Class:    rt.class.Name,
-		Object:   objectID,
-		Function: fn.Name,
-		Keys:     keys,
-		Depth:    trigger.DepthOf(args),
-		Trace:    trace.FromContext(ctx).Traceparent(),
-	})
 }
 
 // deltaKeys returns a delta's key names, sorted (nil for an empty
@@ -985,83 +912,7 @@ func (rt *ClassRuntime) invokeReadonly(ctx context.Context, objectID string, fn 
 	if len(res.State) > 0 {
 		return nil, fmt.Errorf("runtime: readonly function %s.%s returned a state delta", rt.class.Name, fn.Name)
 	}
-	rt.reg.Counter("invoke.readonly").Inc()
-	return res.Output, nil
-}
-
-// invokeLockedPlain is the pessimistic path: the striped lock covers
-// the whole window and the delta merges unconditionally (no version
-// validation — under the lock, and with no lock-free writers in this
-// mode, there is nothing to validate against). Stateless classes also
-// land here with a no-op lock.
-func (rt *ClassRuntime) invokeLockedPlain(ctx context.Context, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string) (json.RawMessage, error) {
-	defer rt.lockObject(objectID)()
-	state, err := rt.loadState(ctx, objectID)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rt.runTask(ctx, objectID, fn, payload, args, state)
-	if err != nil {
-		return nil, err
-	}
-	// An invocation whose context expired while the handler ran must
-	// never commit: the caller has been (or is being) failed with the
-	// deadline error, so a late commit would be a lost-response write.
-	if ctx.Err() != nil {
-		return nil, rt.ctxAbort(ctx, fn)
-	}
-	// Persist the state delta: validate every key first so a rogue
-	// delta persists nothing, then write all updates in one batched
-	// table operation and apply deletions (JSON null values).
-	if err := rt.validateDelta(fn, res.State); err != nil {
-		return nil, err
-	}
-	var puts map[string]json.RawMessage
-	var dels []string
-	keys := rt.keysFor(objectID)
-	for k, v := range res.State {
-		key, ok := keys.byName[k]
-		if !ok {
-			key = rt.stateKey(objectID, k)
-		}
-		if isNull(v) {
-			dels = append(dels, key)
-			continue
-		}
-		if puts == nil {
-			puts = make(map[string]json.RawMessage, len(res.State))
-		}
-		puts[key] = v
-	}
-	if len(puts) > 0 || len(dels) > 0 {
-		csp := trace.FromContext(ctx).Child("commit")
-		// Epoch fence: a commit admitted under moved ownership must not
-		// land even though we hold the local object lock — the lock
-		// means nothing to the new owner.
-		if rt.infra.Fence != nil {
-			if err := rt.infra.Fence(ctx, objectID); err != nil {
-				csp.Error(err)
-				csp.End()
-				return nil, err
-			}
-		}
-		if len(puts) > 0 {
-			if err := rt.table.PutMany(ctx, puts); err != nil {
-				csp.Error(err)
-				csp.End()
-				return nil, err
-			}
-		}
-		for _, key := range dels {
-			if err := rt.table.Delete(ctx, key); err != nil {
-				csp.Error(err)
-				csp.End()
-				return nil, err
-			}
-		}
-		csp.End()
-	}
-	rt.emitCommit(ctx, objectID, fn, res.State, args)
+	rt.readonly.Inc()
 	return res.Output, nil
 }
 
@@ -1071,7 +922,7 @@ func (rt *ClassRuntime) invokeLockedPlain(ctx context.Context, objectID string, 
 // pooled. keys and sc are invocation-internal: keys is the object's
 // precomputed table-key bundle and sc.got holds the versioned read
 // set (every snapshot key present; absent keys carry the version a
-// creating CAS expects). The owning attempt releases sc.
+// creating CAS expects). The owning window releases sc.
 type stateSnapshot struct {
 	state map[string]json.RawMessage
 	keys  *objectKeys
@@ -1080,7 +931,7 @@ type stateSnapshot struct {
 
 // loadStateVersioned gathers the object's structured state with the
 // version of every key (including absent ones, whose version anchors a
-// creating CAS), in one batched table read into the attempt's pooled
+// creating CAS), in one batched table read into the window's pooled
 // scratch.
 func (rt *ClassRuntime) loadStateVersioned(ctx context.Context, objectID string, sc *invokeScratch) (_ stateSnapshot, err error) {
 	sp := trace.FromContext(ctx).Child("load")
@@ -1099,194 +950,6 @@ func (rt *ClassRuntime) loadStateVersioned(ctx context.Context, objectID string,
 		}
 	}
 	return stateSnapshot{state: state, keys: keys, sc: sc}, nil
-}
-
-// buildCommit turns a handler's state delta into a version-validated
-// commit: write ops for delta keys (JSON null deletes) and — in the
-// default full-read-set mode — check-only ops for every other state
-// key read by the handler, so decisions based on unwritten keys cannot
-// commit against changed state (write skew). Under
-// model.OCCValidateKeys only the written keys are validated: writers
-// on disjoint keys of one object no longer abort each other, and the
-// class has opted into write skew on its unwritten reads. Undeclared
-// keys reject the whole delta; an empty delta returns no ops (nothing
-// to commit). The returned map is the attempt's pooled scratch — valid
-// until the snapshot's scratch is released.
-func (rt *ClassRuntime) buildCommit(objectID string, fn model.FunctionDef, snap stateSnapshot, delta map[string]json.RawMessage) (map[string]memtable.CASOp, error) {
-	if len(delta) == 0 {
-		return nil, nil
-	}
-	if err := rt.validateDelta(fn, delta); err != nil {
-		return nil, err
-	}
-	ops := snap.sc.ops
-	clear(ops)
-	if !rt.occKeysOnly {
-		for _, key := range snap.keys.keys {
-			ops[key] = memtable.CASOp{Expect: snap.sc.got[key].Version}
-		}
-	}
-	for k, v := range delta {
-		key, inSnap := snap.keys.byName[k]
-		var op memtable.CASOp
-		if inSnap {
-			op = memtable.CASOp{Expect: snap.sc.got[key].Version}
-		} else {
-			// A declared key outside the structured snapshot (a file
-			// key written as state): keep the pre-OCC unconditional
-			// write semantics.
-			key = rt.stateKey(objectID, k)
-			op = memtable.CASOp{Expect: memtable.AnyVersion}
-		}
-		op.Write = true
-		if !isNull(v) {
-			op.Value = v
-		}
-		ops[key] = op
-	}
-	return ops, nil
-}
-
-// occAttempt runs one optimistic pass: snapshot, lock-free handler
-// execution, validated commit. It returns memtable.ErrVersionMismatch
-// when a concurrent commit invalidated the snapshot. The pooled
-// scratch backing the snapshot and commit ops lives exactly as long as
-// the attempt (the deferred release covers every exit, panic unwind
-// included); only the never-pooled state map reaches the handler.
-//
-// Each pass runs under an "occ.attempt" span (the load/handler/commit
-// spans nest inside it). A version-mismatch abort is normal protocol
-// flow — it is recorded as a span attribute, not an error, so pure
-// contention alone never forces a trace to be kept; fence rejections
-// and real failures do surface as span errors.
-func (rt *ClassRuntime) occAttempt(ctx context.Context, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string, attempt int) (_ json.RawMessage, err error) {
-	if asp := trace.FromContext(ctx).Child("occ.attempt"); asp != nil {
-		asp.SetInt("attempt", attempt)
-		ctx = trace.ContextWith(ctx, asp)
-		defer func() {
-			if errors.Is(err, memtable.ErrVersionMismatch) {
-				asp.SetAttr("abort", "version_mismatch")
-			} else {
-				asp.Error(err)
-			}
-			asp.End()
-		}()
-	}
-	sc := getScratch()
-	defer sc.release()
-	snap, err := rt.loadStateVersioned(ctx, objectID, sc)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rt.runTask(ctx, objectID, fn, payload, args, snap.state)
-	if err != nil {
-		return nil, err
-	}
-	// Expired invocations never commit (see invokeLockedPlain).
-	if ctx.Err() != nil {
-		return nil, rt.ctxAbort(ctx, fn)
-	}
-	ops, err := rt.buildCommit(objectID, fn, snap, res.State)
-	if err != nil {
-		return nil, err
-	}
-	if len(ops) > 0 {
-		csp := trace.FromContext(ctx).Child("commit")
-		// Epoch fence before the CAS: ownership that moved since
-		// admission fails the attempt outright (the fence error is not
-		// ErrVersionMismatch, so the OCC retry loop propagates it
-		// instead of re-running against state this node no longer owns).
-		if rt.infra.Fence != nil {
-			if err := rt.infra.Fence(ctx, objectID); err != nil {
-				csp.Error(err)
-				csp.End()
-				return nil, err
-			}
-		}
-		if err := rt.table.PutManyIfVersion(ctx, ops); err != nil {
-			if !errors.Is(err, memtable.ErrVersionMismatch) {
-				csp.Error(err)
-			}
-			csp.End()
-			return nil, err
-		}
-		csp.End()
-	}
-	// The validated commit landed (or there was nothing to commit):
-	// this is the one success exit of the optimistic retry loops, so
-	// the call's event is emitted exactly once — aborted passes return
-	// through the ErrVersionMismatch path above and emit nothing.
-	rt.emitCommit(ctx, objectID, fn, res.State, args)
-	return res.Output, nil
-}
-
-// invokeOCC drives the bounded lock-free retry loop while holding the
-// object's delete guard shared: concurrent invocations interleave
-// freely, but an exclusive holder (object delete/init, or a barrier
-// invocation) still waits out every in-flight window. Exhaustion
-// returns the last ErrVersionMismatch; invokeFn escalates it to the
-// barrier.
-func (rt *ClassRuntime) invokeOCC(ctx context.Context, guard *sync.RWMutex, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string, tr *contentionTracker) (json.RawMessage, error) {
-	guard.RLock()
-	defer guard.RUnlock()
-	var lastErr error
-	for attempt := 0; attempt < maxOCCAttempts; attempt++ {
-		if ctx.Err() != nil {
-			return nil, rt.ctxAbort(ctx, fn)
-		}
-		if attempt > 0 {
-			rt.reg.Counter("occ.retries").Inc()
-		}
-		out, err := rt.occAttempt(ctx, objectID, fn, payload, args, attempt)
-		if err == nil {
-			tr.record(false)
-			rt.reg.Counter("occ.commits").Inc()
-			return out, nil
-		}
-		if !errors.Is(err, memtable.ErrVersionMismatch) {
-			return nil, err
-		}
-		tr.record(true)
-		rt.reg.Counter("occ.aborts").Inc()
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// invokeBarrier runs the invocation holding the object's delete guard
-// exclusive: pending writer acquisition drains the lock-free racers
-// and blocks new ones, so the window is effectively serialized and a
-// commit attempt can only be aborted by guard-free writers (direct
-// PutState). The commit still goes through the version check — only a
-// validated commit keeps exactness across regime mixes — and each
-// under-barrier abort implies another commit landed, so the bounded
-// loop is a livelock backstop, not an expected path.
-func (rt *ClassRuntime) invokeBarrier(ctx context.Context, guard *sync.RWMutex, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string, tr *contentionTracker) (json.RawMessage, error) {
-	guard.Lock()
-	defer guard.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < maxLockedCASAttempts; attempt++ {
-		if ctx.Err() != nil {
-			return nil, rt.ctxAbort(ctx, fn)
-		}
-		if attempt > 0 {
-			rt.reg.Counter("occ.retries").Inc()
-		}
-		out, err := rt.occAttempt(ctx, objectID, fn, payload, args, attempt)
-		if err == nil {
-			tr.record(false)
-			rt.reg.Counter("occ.commits").Inc()
-			return out, nil
-		}
-		if !errors.Is(err, memtable.ErrVersionMismatch) {
-			return nil, err
-		}
-		tr.record(true)
-		rt.reg.Counter("occ.aborts").Inc()
-		lastErr = err
-	}
-	return nil, fmt.Errorf("runtime: %s.%s on %s: commit contention persisted through %d serialized attempts: %w",
-		rt.class.Name, fn.Name, objectID, maxLockedCASAttempts, lastErr)
 }
 
 // isNull reports whether v is empty or the JSON literal null. It works

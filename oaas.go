@@ -92,9 +92,10 @@
 //
 // Objects are reactive: every committed state mutation emits a
 // StateChanged event — exactly one per committed write invocation
-// with a non-empty state delta, from all three commit regimes (the
-// locked window, the OCC/adaptive CAS commit, and the InvokeBatch
-// group commit); aborted and readonly calls emit none, and neither
+// with a non-empty state delta, from the one commit window every
+// write runs through (a single Invoke is a window of one call, an
+// InvokeBatch group a window of many, in every concurrency mode);
+// aborted and readonly calls emit none, and neither
 // does a write invocation whose handler returned no delta: nothing
 // changed, so there is nothing to react to (and the warm no-op path
 // stays event-free, see "Performance & tuning") — and terminal

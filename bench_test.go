@@ -1283,23 +1283,6 @@ func BenchmarkMicroModelResolve(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroRingOwner measures consistent-hash lookup.
-func BenchmarkMicroRingOwner(b *testing.B) {
-	ring := memtable.NewRing(64)
-	for i := 0; i < 12; i++ {
-		ring.Add(fmt.Sprintf("vm-%02d", i))
-	}
-	keys := make([]string, 256)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("state/Class/obj-%04d/key", i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ring.Owner(keys[i%len(keys)])
-	}
-}
-
 // BenchmarkMicroKVStorePut measures the document store write path
 // (unlimited capacity).
 func BenchmarkMicroKVStorePut(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -83,7 +84,7 @@ func TestCrashReplayRedeliversEvents(t *testing.T) {
 	var hits atomic.Int64
 	var mu sync.Mutex
 	var acked []int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		if !accepting.Load() {
 			w.WriteHeader(http.StatusInternalServerError)
@@ -96,6 +97,18 @@ func TestCrashReplayRedeliversEvents(t *testing.T) {
 		mu.Unlock()
 		w.WriteHeader(http.StatusOK)
 	}))
+	// openConns counts the endpoint's live connections; a connection's
+	// Closed state follows the end of any request it was serving.
+	var openConns atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, cs http.ConnState) {
+		switch cs {
+		case http.StateNew:
+			openConns.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			openConns.Add(-1)
+		}
+	}
+	srv.Start()
 	defer srv.Close()
 
 	shared := kvstore.Open(kvstore.Config{})
@@ -148,6 +161,14 @@ func TestCrashReplayRedeliversEvents(t *testing.T) {
 		t.Fatalf("chain delivered %v times despite the quota wedge", n)
 	}
 	p1.Kill()
+	// A delivery attempt p1 had on the wire when it died can still be
+	// read and handled by the endpoint. Close every pre-crash
+	// connection and wait until each has finished, so the endpoint
+	// acknowledges only the successor's deliveries.
+	waitUntil(t, "pre-crash connections closed", func() bool {
+		srv.CloseClientConnections()
+		return openConns.Load() == 0
+	})
 
 	// Second life: the endpoint accepts, the quota is gone. The named
 	// subscription recovers during New; the class trigger recovers at

@@ -131,7 +131,6 @@ func (p Params) template(system System, workers int) runtime.Template {
 		MaxScale:           400,
 		FlushInterval:      20 * time.Millisecond,
 		FlushBatchSize:     512,
-		Shards:             16,
 	}
 	switch system {
 	case SystemKnative:

@@ -1,3 +1,24 @@
+// Package memtable implements Oparaca's distributed in-memory hash
+// table (paper §V: "its reliance on the distributed in-memory hash
+// table to consolidate data for batch write operations").
+//
+// A Table partitions keys over a fixed set of shards by an FNV-1a hash
+// of the key, serves reads through a read-through cache over the
+// backing document store, and persists dirty entries with a
+// write-behind flusher that consolidates them into batch writes —
+// amortizing the database's write-capacity ceiling.
+//
+// Every operation has one path. A call locks all the shards of its
+// keys together, in ascending shard order, so a multi-key read sees
+// one snapshot and concurrent multi-key calls cannot deadlock. Reads
+// serve hits from memory and consolidate misses into one
+// kvstore.BatchGet, so loading a whole object's state costs one
+// simulated DB round trip instead of one per key. Writes — Put,
+// PutMany, Delete and PutManyIfVersion — are all version-checked
+// commits that do their backing I/O under the shard locks before
+// memory changes: a failed write changes nothing (Delete documents the
+// one exception, a delete racing a flush), and memory and the backing
+// store always agree on the order of writes.
 package memtable
 
 import (
@@ -5,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,8 +91,9 @@ type Config struct {
 	// Backing is the persistent store; required unless ModeMemoryOnly.
 	Backing *kvstore.Store
 	// Shards is the number of in-memory shard maps (per-VM partitions
-	// in the paper's deployment). Defaults to 16, capped at 64 (the
-	// commit path tracks shard sets in a uint64 bitmask).
+	// in the paper's deployment); a key's shard is an FNV-1a hash of
+	// the key modulo this count. Defaults to 16, capped at 64 (every
+	// call tracks the shard set it locks in a uint64 bitmask).
 	Shards int
 	// FlushInterval is the write-behind flush period. Defaults 50ms.
 	FlushInterval time.Duration
@@ -110,8 +133,8 @@ func (c Config) withDefaults() Config {
 		c.Shards = 16
 	}
 	if c.Shards > 64 {
-		// The commit path tracks an op's shard set in one uint64
-		// bitmask (opShardMask); 64 shards is already far past lock
+		// Every call tracks its shard set in one uint64 bitmask
+		// (keysMask, opsMask); 64 shards is already far past lock
 		// contention relief for any realistic key population.
 		c.Shards = 64
 	}
@@ -167,10 +190,8 @@ type shard struct {
 // Table is the distributed in-memory hash table. It is safe for
 // concurrent use.
 type Table struct {
-	cfg      Config
-	shards   []*shard
-	ring     *Ring
-	shardIdx map[string]int // ring node name -> shard index
+	cfg    Config
+	shards []*shard
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -199,13 +220,11 @@ func New(cfg Config) (*Table, error) {
 	t := &Table{
 		cfg:         cfg,
 		shards:      make([]*shard, cfg.Shards),
-		ring:        NewRing(64),
 		closed:      make(chan struct{}),
 		flushWake:   make(chan struct{}, 1),
 		done:        make(chan struct{}),
 		compactDone: make(chan struct{}),
 	}
-	t.shardIdx = make(map[string]int, cfg.Shards)
 	for i := range t.shards {
 		t.shards[i] = &shard{
 			data:     make(map[string]json.RawMessage),
@@ -215,9 +234,6 @@ func New(cfg Config) (*Table, error) {
 			vers:     make(map[string]int64),
 			tombs:    make(map[string]time.Time),
 		}
-		name := shardName(i)
-		t.ring.Add(name)
-		t.shardIdx[name] = i
 	}
 	if cfg.Mode == ModeWriteBehind {
 		go t.flushLoop()
@@ -232,74 +248,57 @@ func New(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-func shardName(i int) string { return fmt.Sprintf("shard-%03d", i) }
-
-// shardFor returns the shard owning key via the consistent-hash ring.
-func (t *Table) shardFor(key string) *shard {
-	return t.shards[t.shardIndexFor(key)]
+// shardIndex returns the index of the shard owning key: an FNV-1a fold
+// of the key modulo the shard count. The fold is inlined over the
+// string, as in trigger.Bus.shardFor, so placement allocates nothing.
+func (t *Table) shardIndex(key string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(len(t.shards)))
 }
 
-// shardIndexFor returns the index of the shard owning key.
-func (t *Table) shardIndexFor(key string) int {
-	idx, ok := t.shardIdx[t.ring.Owner(key)]
-	if !ok {
-		idx = int(hashKey(key)) % len(t.shards)
+// shardFor returns the shard owning key.
+func (t *Table) shardFor(key string) *shard { return t.shards[t.shardIndex(key)] }
+
+// keysMask returns the set of shards owning keys as a bitmask (valid
+// because New caps Shards at 64), so a call can lock and unlock its
+// shard set without allocating.
+func (t *Table) keysMask(keys []string) uint64 {
+	var mask uint64
+	for _, k := range keys {
+		mask |= 1 << uint(t.shardIndex(k))
 	}
-	return idx
+	return mask
 }
 
-// smallBatch is the widest batch served by the allocation-free
-// grouping path: shard indices live in a stack array and visited keys
-// in a bit set. Object state bundles (the invocation hot path) are
-// almost always this small.
-const smallBatch = 32
+// opsMask is keysMask over the keys of a commit.
+func (t *Table) opsMask(ops map[string]CASOp) uint64 {
+	var mask uint64
+	for k := range ops {
+		mask |= 1 << uint(t.shardIndex(k))
+	}
+	return mask
+}
 
-// forEachShardGroup calls fn once per distinct owning shard with the
-// positions (indices into keys) that shard owns, holding the shard's
-// lock for the duration of the call. Small batches group with no heap
-// allocation; wider ones fall back to a position map.
-func (t *Table) forEachShardGroup(keys []string, fn func(sh *shard, positions []int)) {
-	if len(keys) <= smallBatch {
-		var idx [smallBatch]int
-		var pos [smallBatch]int
-		for i, k := range keys {
-			idx[i] = t.shardIndexFor(k)
-		}
-		var done uint64
-		for i := range keys {
-			if done&(1<<i) != 0 {
-				continue
-			}
-			group := pos[:0]
-			for j := i; j < len(keys); j++ {
-				if done&(1<<j) == 0 && idx[j] == idx[i] {
-					done |= 1 << j
-					group = append(group, j)
-				}
-			}
-			sh := t.shards[idx[i]]
-			sh.mu.Lock()
-			fn(sh, group)
-			sh.mu.Unlock()
-		}
-		return
-	}
-	groups := make(map[int][]int)
-	for i, k := range keys {
-		shardIdx := t.shardIndexFor(k)
-		groups[shardIdx] = append(groups[shardIdx], i)
-	}
-	for shardIdx, positions := range groups {
-		sh := t.shards[shardIdx]
-		sh.mu.Lock()
-		fn(sh, positions)
-		sh.mu.Unlock()
+// lockMask locks every shard in mask in ascending index order. It is
+// the table's one lock order: every call, read or write, locks all the
+// shards of its keys together this way, which gives a multi-key read
+// one snapshot and keeps concurrent multi-shard calls deadlock-free.
+// unlockMask releases them.
+func (t *Table) lockMask(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		t.shards[bits.TrailingZeros64(m)].mu.Lock()
 	}
 }
 
-// OwnerShard exposes the ring decision for locality-aware routing
-// (paper §II-A: distribute data close to the deployed method).
-func (t *Table) OwnerShard(key string) string { return t.ring.Owner(key) }
+func (t *Table) unlockMask(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		t.shards[bits.TrailingZeros64(m)].mu.Unlock()
+	}
+}
 
 // isClosed reports whether Close has been called.
 func (t *Table) isClosed() bool {
@@ -325,63 +324,109 @@ func (t *Table) noteReads(hits, misses int64) {
 	t.statsMu.Unlock()
 }
 
-// Get returns the value for key, reading through to the backing store
-// on a miss (and caching the result).
-func (t *Table) Get(ctx context.Context, key string) (json.RawMessage, error) {
+// read is the table's one read path. It serves every key it can from
+// memory under the keys' shard set, so all hits come from one
+// snapshot; reads the misses through in one kvstore.BatchGet (one
+// read-latency charge per batch instead of one per key); and installs
+// the fetched documents under the misses' shard set, where state a
+// racing writer or deleter left meanwhile wins over the fetched copy.
+// emit receives every key once with its value and version: a nil value
+// means absent, and version 0 means the table has never seen the key.
+func (t *Table) read(ctx context.Context, keys []string, emit func(key string, v json.RawMessage, ver int64)) error {
 	if t.isClosed() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	sh := t.shardFor(key)
-	sh.mu.Lock()
-	if v, ok := sh.data[key]; ok {
-		sh.mu.Unlock()
-		t.noteReads(1, 0)
-		return v, nil
+	if len(keys) == 0 {
+		return nil
 	}
-	if _, tombstoned := sh.vers[key]; tombstoned {
-		// Deletion tombstone: the key is authoritatively deleted.
-		// Reading through would resurrect a stale backing copy (the
-		// backing delete may still be in flight or retrying) and
-		// re-arm the key's version for optimistic commits.
-		sh.mu.Unlock()
-		t.noteReads(1, 0)
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	sh.mu.Unlock()
-	t.noteReads(0, 1)
-	if t.cfg.Mode == ModeMemoryOnly {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	doc, err := t.cfg.Backing.Get(ctx, key)
-	if err != nil {
-		if errors.Is(err, kvstore.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+	var missing []string
+	mask := t.keysMask(keys)
+	t.lockMask(mask)
+	for _, k := range keys {
+		if !emitHeld(t.shardFor(k), k, emit) {
+			missing = append(missing, k)
 		}
-		return nil, fmt.Errorf("memtable: read-through: %w", err)
 	}
-	sh.mu.Lock()
-	// Another writer may have raced us; do not clobber a dirty entry,
-	// and honor a tombstone a racing Delete left behind.
-	if v, ok := sh.data[key]; ok {
-		sh.mu.Unlock()
-		return v, nil
+	t.unlockMask(mask)
+	t.noteReads(int64(len(keys)-len(missing)), int64(len(missing)))
+	if len(missing) == 0 {
+		return nil
 	}
-	if _, tombstoned := sh.vers[key]; tombstoned {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+	var docs map[string]kvstore.Document
+	if t.cfg.Mode != ModeMemoryOnly {
+		var err error
+		if docs, err = t.cfg.Backing.BatchGet(ctx, missing); err != nil {
+			return fmt.Errorf("memtable: batch read-through: %w", err)
+		}
 	}
-	sh.data[key] = doc.Value
-	sh.vers[key] = doc.Version
-	sh.mu.Unlock()
-	return doc.Value, nil
+	if len(docs) == 0 {
+		for _, k := range missing {
+			emit(k, nil, 0)
+		}
+		return nil
+	}
+	mask = t.keysMask(missing)
+	t.lockMask(mask)
+	for _, k := range missing {
+		sh := t.shardFor(k)
+		if emitHeld(sh, k, emit) {
+			continue
+		}
+		doc, ok := docs[k]
+		if !ok {
+			emit(k, nil, 0)
+			continue
+		}
+		v := doc.Value
+		if v == nil {
+			v = json.RawMessage{} // a stored empty value is present, not absent
+		}
+		sh.data[k] = v
+		sh.vers[k] = doc.Version
+		emit(k, v, doc.Version)
+	}
+	t.unlockMask(mask)
+	return nil
 }
 
-// GetMany returns the values for keys, taking each shard lock once and
-// consolidating backing-store misses into a single kvstore.BatchGet
-// round trip (one read-latency charge per batch instead of one per
-// key). Keys found in neither place are simply absent from the result
-// map — batch callers resolve defaults themselves, so absence is not
-// an error, unlike Get's ErrNotFound.
+// emitHeld emits key's in-memory state, its value or its deletion
+// tombstone, and reports whether there was any. The caller holds the
+// shard's lock.
+func emitHeld(sh *shard, key string, emit func(string, json.RawMessage, int64)) bool {
+	if v, ok := sh.data[key]; ok {
+		emit(key, v, sh.vers[key])
+		return true
+	}
+	if ver, ok := sh.vers[key]; ok {
+		// Deletion tombstone: the key is authoritatively deleted.
+		// Reading through would resurrect a stale backing copy (the
+		// backing delete may still be retrying) and re-arm the key's
+		// version for optimistic commits.
+		emit(key, nil, ver)
+		return true
+	}
+	return false
+}
+
+// Get returns the value for key, reading through to the backing store
+// on a miss (and caching the result). It returns ErrNotFound when the
+// key exists neither in memory nor in the backing store.
+func (t *Table) Get(ctx context.Context, key string) (json.RawMessage, error) {
+	var val json.RawMessage
+	if err := t.read(ctx, []string{key}, func(_ string, v json.RawMessage, _ int64) { val = v }); err != nil {
+		return nil, err
+	}
+	if val == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+	}
+	return val, nil
+}
+
+// GetMany returns the values for keys in one read: every hit comes
+// from one snapshot, and backing-store misses are consolidated into a
+// single kvstore.BatchGet round trip. Keys found in neither place are
+// simply absent from the result map — batch callers resolve defaults
+// themselves, so absence is not an error, unlike Get's ErrNotFound.
 func (t *Table) GetMany(ctx context.Context, keys []string) (map[string]json.RawMessage, error) {
 	if len(keys) == 0 {
 		if t.isClosed() {
@@ -401,68 +446,13 @@ func (t *Table) GetMany(ctx context.Context, keys []string) (map[string]json.Raw
 // call. Existing entries of out are left in place (callers reusing a
 // map clear it between reads). Values are read-only views aliasing
 // table memory: callers must not mutate them — the table clones on
-// every write path, never on reads.
+// every write, never on reads.
 func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]json.RawMessage) error {
-	if t.isClosed() {
-		return ErrClosed
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	var missing []string
-	var hits, misses int64
-	t.forEachShardGroup(keys, func(sh *shard, positions []int) {
-		for _, i := range positions {
-			k := keys[i]
-			if v, ok := sh.data[k]; ok {
-				out[k] = v
-				hits++
-				continue
-			}
-			if _, tombstoned := sh.vers[k]; tombstoned {
-				// Deleted: authoritatively absent, no read-through.
-				hits++
-				continue
-			}
-			missing = append(missing, k)
-			misses++
-		}
-	})
-	t.noteReads(hits, misses)
-	if len(missing) == 0 || t.cfg.Mode == ModeMemoryOnly {
-		return nil
-	}
-	docs, err := t.cfg.Backing.BatchGet(ctx, missing)
-	if err != nil {
-		return fmt.Errorf("memtable: batch read-through: %w", err)
-	}
-	if len(docs) == 0 {
-		return nil
-	}
-	found := make([]string, 0, len(docs))
-	for k := range docs {
-		found = append(found, k)
-	}
-	// Cache the read-through results, again one lock per shard. A
-	// writer may have raced the batch read: its (newer) entry wins,
-	// and a racing Delete's tombstone keeps the key absent.
-	t.forEachShardGroup(found, func(sh *shard, positions []int) {
-		for _, i := range positions {
-			k := found[i]
-			if v, ok := sh.data[k]; ok {
-				out[k] = v
-				continue
-			}
-			if _, tombstoned := sh.vers[k]; tombstoned {
-				continue
-			}
-			v := docs[k].Value
-			sh.data[k] = v
-			sh.vers[k] = docs[k].Version
+	return t.read(ctx, keys, func(k string, v json.RawMessage, _ int64) {
+		if v != nil {
 			out[k] = v
 		}
 	})
-	return nil
 }
 
 // VersionedValue couples a state value with the table version it was
@@ -498,210 +488,56 @@ func (t *Table) GetManyVersioned(ctx context.Context, keys []string) (map[string
 // instead of allocating per call. Existing entries of out are left in
 // place (callers reusing a map clear it between reads). Values are
 // read-only views aliasing table memory: callers must not mutate
-// them — the table clones on every write path, never on reads.
+// them — the table clones on every write, never on reads.
 func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map[string]VersionedValue) error {
-	if t.isClosed() {
-		return ErrClosed
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	var missing []string
-	var hits, misses int64
-	t.forEachShardGroup(keys, func(sh *shard, positions []int) {
-		for _, i := range positions {
-			k := keys[i]
-			if v, ok := sh.data[k]; ok {
-				out[k] = VersionedValue{Value: v, Version: sh.vers[k]}
-				hits++
-				continue
-			}
-			if ver, ok := sh.vers[k]; ok {
-				// Deletion tombstone: authoritatively absent.
-				out[k] = VersionedValue{Version: ver}
-				hits++
-				continue
-			}
-			missing = append(missing, k)
-			misses++
-		}
+	return t.read(ctx, keys, func(k string, v json.RawMessage, ver int64) {
+		out[k] = VersionedValue{Value: v, Version: ver}
 	})
-	t.noteReads(hits, misses)
-	if len(missing) == 0 {
-		return nil
-	}
-	if t.cfg.Mode == ModeMemoryOnly {
-		for _, k := range missing {
-			out[k] = VersionedValue{}
-		}
-		return nil
-	}
-	docs, err := t.cfg.Backing.BatchGet(ctx, missing)
-	if err != nil {
-		return fmt.Errorf("memtable: batch read-through: %w", err)
-	}
-	found := make([]string, 0, len(docs))
-	for _, k := range missing {
-		if _, ok := docs[k]; ok {
-			found = append(found, k)
-		} else {
-			out[k] = VersionedValue{}
-		}
-	}
-	if len(found) == 0 {
-		return nil
-	}
-	// Cache the read-through results with their backing versions. A
-	// writer (or deleter) may have raced the batch read; its newer
-	// table state wins over the fetched document.
-	t.forEachShardGroup(found, func(sh *shard, positions []int) {
-		for _, i := range positions {
-			k := found[i]
-			if v, ok := sh.data[k]; ok {
-				out[k] = VersionedValue{Value: v, Version: sh.vers[k]}
-				continue
-			}
-			if ver, ok := sh.vers[k]; ok {
-				out[k] = VersionedValue{Version: ver}
-				continue
-			}
-			v := docs[k].Value
-			sh.data[k] = v
-			sh.vers[k] = docs[k].Version
-			out[k] = VersionedValue{Value: v, Version: docs[k].Version}
-		}
-	})
-	return nil
 }
 
-// PutMany stores every entry, taking each shard lock once. In
-// write-through mode the backing write is one consolidated BatchPut
-// (charged as a single write operation); in write-behind mode all keys
-// are marked dirty for the flusher in one pass.
-func (t *Table) PutMany(ctx context.Context, entries map[string]json.RawMessage) error {
-	if t.isClosed() {
-		return ErrClosed
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-	copied := make(map[string]json.RawMessage, len(entries))
-	keys := make([]string, 0, len(entries))
-	for k, v := range entries {
-		copied[k] = append(json.RawMessage(nil), v...)
-		keys = append(keys, k)
-	}
-	if t.cfg.Mode == ModeWriteThrough {
-		if err := t.cfg.Backing.BatchPut(ctx, copied); err != nil {
-			return fmt.Errorf("memtable: batch write-through: %w", err)
-		}
-	}
-	wake := false
-	t.forEachShardGroup(keys, func(sh *shard, positions []int) {
-		for _, i := range positions {
-			k := keys[i]
-			sh.data[k] = copied[k]
-			sh.vers[k]++
-			delete(sh.deleted, k) // a write supersedes a pending tombstone
-			delete(sh.tombs, k)
-			if t.cfg.Mode == ModeWriteBehind {
-				sh.dirty[k] = true
-			}
-		}
-		if t.cfg.Mode == ModeWriteBehind && len(sh.dirty) >= t.cfg.FlushBatchSize {
-			wake = true
-		}
-	})
-	if wake {
-		select {
-		case t.flushWake <- struct{}{}:
-		default:
-		}
-	}
-	return nil
-}
-
-// Put stores value at key. In write-through mode the backing write is
+// Put stores value at key: a one-key unconditional commit through
+// PutManyIfVersion. In write-through mode the backing write is
 // synchronous; in write-behind mode the key is marked dirty for the
 // flusher.
 func (t *Table) Put(ctx context.Context, key string, value json.RawMessage) error {
-	if t.isClosed() {
-		return ErrClosed
+	return t.PutManyIfVersion(ctx, map[string]CASOp{key: putOp(value)})
+}
+
+// PutMany stores every entry in one unconditional commit through
+// PutManyIfVersion. In write-through mode the backing write is one
+// consolidated BatchPut (charged as a single write operation); in
+// write-behind mode all keys are marked dirty for the flusher.
+func (t *Table) PutMany(ctx context.Context, entries map[string]json.RawMessage) error {
+	ops := make(map[string]CASOp, len(entries))
+	for k, v := range entries {
+		ops[k] = putOp(v)
 	}
-	val := append(json.RawMessage(nil), value...)
-	switch t.cfg.Mode {
-	case ModeWriteThrough:
-		if _, err := t.cfg.Backing.Put(ctx, key, val); err != nil {
-			return fmt.Errorf("memtable: write-through: %w", err)
-		}
-		sh := t.shardFor(key)
-		sh.mu.Lock()
-		sh.data[key] = val
-		sh.vers[key]++
-		delete(sh.deleted, key)
-		delete(sh.tombs, key)
-		sh.mu.Unlock()
-		return nil
-	case ModeMemoryOnly:
-		sh := t.shardFor(key)
-		sh.mu.Lock()
-		sh.data[key] = val
-		sh.vers[key]++
-		delete(sh.tombs, key)
-		sh.mu.Unlock()
-		return nil
-	default: // ModeWriteBehind
-		sh := t.shardFor(key)
-		sh.mu.Lock()
-		sh.data[key] = val
-		sh.vers[key]++
-		sh.dirty[key] = true
-		// A write supersedes any pending tombstone for the key.
-		delete(sh.deleted, key)
-		delete(sh.tombs, key)
-		n := len(sh.dirty)
-		sh.mu.Unlock()
-		if n >= t.cfg.FlushBatchSize {
-			select {
-			case t.flushWake <- struct{}{}:
-			default:
-			}
-		}
-		return nil
+	return t.PutManyIfVersion(ctx, ops)
+}
+
+// putOp is the commit op of an unconditional write of v. A nil Value
+// deletes in a CASOp, so a nil v is written as the empty value: Put of
+// an empty body stays a put.
+func putOp(v json.RawMessage) CASOp {
+	if v == nil {
+		v = json.RawMessage{}
 	}
+	return CASOp{Expect: AnyVersion, Value: v, Write: true}
 }
 
 // Delete removes key from memory and, in persistent modes, from the
-// backing store.
+// backing store: a one-key unconditional delete through the commit
+// step of PutManyIfVersion. It leaves a version tombstone behind, and
+// a failing backing delete changes nothing — unless an in-flight flush
+// batch holds the key, in which case the deletion lands anyway and the
+// flusher persists it (see commit); Delete still returns the failure,
+// as the backing store has not caught up yet.
 func (t *Table) Delete(ctx context.Context, key string) error {
-	if t.isClosed() {
-		return ErrClosed
+	pending, err := t.commit(ctx, map[string]CASOp{key: {Expect: AnyVersion, Write: true}})
+	if err != nil {
+		return err
 	}
-	sh := t.shardFor(key)
-	sh.mu.Lock()
-	delete(sh.data, key)
-	delete(sh.dirty, key)
-	// The tombstone version stays behind (and advances) so a CAS
-	// holding a pre-delete version can never resurrect the key.
-	sh.vers[key]++
-	if t.cfg.TombstoneTTL > 0 {
-		sh.tombs[key] = t.cfg.Clock.Now()
-	}
-	if sh.flushing[key] > 0 {
-		// The key is in a flush batch already snapshotted: the
-		// in-flight BatchPut would re-create it in the backing store
-		// after our Delete below. Record it so the flusher re-deletes
-		// once the last containing batch lands.
-		sh.deleted[key] = true
-	}
-	sh.mu.Unlock()
-	if t.cfg.Mode == ModeMemoryOnly {
-		return nil
-	}
-	if err := t.cfg.Backing.Delete(ctx, key); err != nil {
-		return fmt.Errorf("memtable: delete: %w", err)
-	}
-	return nil
+	return pending
 }
 
 // CASOp is one key's part of a PutManyIfVersion commit.
@@ -719,60 +555,49 @@ type CASOp struct {
 	Write bool
 }
 
-// opShardMask returns the set of shards owning an op key as a bitmask
-// (valid because New caps Shards at 64), so the commit path can lock
-// and unlock its shard set without allocating tracking slices.
-func (t *Table) opShardMask(ops map[string]CASOp) uint64 {
-	var mask uint64
-	for k := range ops {
-		mask |= 1 << uint(t.shardIndexFor(k))
-	}
-	return mask
+// clone copies v into table-owned memory. The copy of an empty value
+// is empty but non-nil, because a nil value means absent.
+func clone(v json.RawMessage) json.RawMessage {
+	return append(make(json.RawMessage, 0, len(v)), v...)
 }
 
-// lockMask locks every shard in mask in ascending index order (the
-// fixed global order keeps concurrent multi-shard commits
-// deadlock-free); unlockMask releases them.
-func (t *Table) lockMask(mask uint64) {
-	for i := range t.shards {
-		if mask&(1<<uint(i)) != 0 {
-			t.shards[i].mu.Lock()
-		}
-	}
-}
-
-func (t *Table) unlockMask(mask uint64) {
-	for i := range t.shards {
-		if mask&(1<<uint(i)) != 0 {
-			t.shards[i].mu.Unlock()
-		}
-	}
-}
-
-// PutManyIfVersion atomically validates every op's expected version
-// and, only if all match, commits the write ops (bumping each written
-// key's version). It is the table-level realization of optimistic
-// concurrency: the validation mirrors kvstore.CompareAndPut semantics
-// (same ErrVersionMismatch sentinel) but runs at the cache — the
-// serialization point every write already flows through — while
-// persistence keeps the consolidated batch economics: write-through
-// commits land as a single kvstore.BatchPut under the shard locks, and
-// write-behind commits are picked up by the flusher's BatchPut.
+// PutManyIfVersion is the table's one write path: Put, PutMany and
+// Delete are commits of AnyVersion ops through it. It atomically
+// validates every op's expected version and, only if all match,
+// commits the write ops (bumping each written key's version). It is
+// the table-level realization of optimistic concurrency: the
+// validation mirrors kvstore.CompareAndPut semantics (same
+// ErrVersionMismatch sentinel) but runs at the cache — the
+// serialization point every write flows through — while persistence
+// keeps the consolidated batch economics: write-through commits land
+// as a single kvstore.BatchPut under the shard locks, and write-behind
+// commits are picked up by the flusher's BatchPut.
 //
 // All involved shards are locked for the duration (ascending-index
-// order, so concurrent multi-key commits cannot deadlock); on
-// ErrVersionMismatch nothing is committed. Deletes of write ops (nil
-// Value) leave a version tombstone so stale optimistic commits cannot
-// resurrect the key, and are propagated to the backing store like
-// Delete.
+// order, like every table call). When it returns an error
+// (ErrVersionMismatch or a backing failure) nothing is committed.
+// Deletes (write ops with a nil Value) leave a version tombstone so
+// stale optimistic commits cannot resurrect the key, and reach the
+// backing store in every persistent mode.
 func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) error {
+	_, err := t.commit(ctx, ops)
+	return err
+}
+
+// commit is the commit step behind PutManyIfVersion. One backing
+// failure does not abort it: a failed delete of a key that an in-flight
+// write-behind flush batch holds. That batch re-creates the key in the
+// store whatever the direct delete does, and the flusher re-deletes the
+// key once the batch lands, retrying until it succeeds, so the
+// deletion commits and the failure comes back as pending.
+func (t *Table) commit(ctx context.Context, ops map[string]CASOp) (pending, err error) {
 	if t.isClosed() {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if len(ops) == 0 {
-		return nil
+		return nil, nil
 	}
-	mask := t.opShardMask(ops)
+	mask := t.opsMask(ops)
 	t.lockMask(mask)
 	unlock := func() { t.unlockMask(mask) }
 	for k, op := range ops {
@@ -781,7 +606,7 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 		}
 		if cur := t.shardFor(k).vers[k]; cur != op.Expect {
 			unlock()
-			return fmt.Errorf("%w: key %q at version %d, expected %d",
+			return nil, fmt.Errorf("%w: key %q at version %d, expected %d",
 				ErrVersionMismatch, k, cur, op.Expect)
 		}
 	}
@@ -798,32 +623,38 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 				if puts == nil {
 					puts = make(map[string]json.RawMessage, len(ops))
 				}
-				puts[k] = append(json.RawMessage(nil), op.Value...)
+				puts[k] = clone(op.Value)
 			}
 		}
 	}
 	// Backing I/O happens before the in-memory commit, still under the
 	// shard locks, so the validation window covers it: a backing
 	// failure commits nothing (versions unchanged, the caller simply
-	// retries), and no later commit can interleave between this
-	// commit's memory state and its backing state — a delayed
-	// post-unlock Backing.Delete could otherwise erase a key a
-	// subsequent commit had already recreated and persisted. Deletes
-	// go first; they are idempotent if a following put batch fails.
+	// retries; a pending delete is the one exception), and no other write can interleave between this
+	// commit's memory state and its backing state — two writes of one
+	// key land in the same order in both, and a delayed post-unlock
+	// Backing.Delete cannot erase a key a later commit had already
+	// recreated and persisted. Deletes go first; they are idempotent if
+	// a following put batch fails.
 	if t.cfg.Mode != ModeMemoryOnly {
 		for k, op := range ops {
-			if op.Write && op.Value == nil {
-				if err := t.cfg.Backing.Delete(ctx, k); err != nil {
+			if !op.Write || op.Value != nil {
+				continue
+			}
+			if err := t.cfg.Backing.Delete(ctx, k); err != nil {
+				err = fmt.Errorf("memtable: delete: %w", err)
+				if t.shardFor(k).flushing[k] == 0 {
 					unlock()
-					return fmt.Errorf("memtable: delete: %w", err)
+					return nil, err
 				}
+				pending = err
 			}
 		}
 	}
 	if t.cfg.Mode == ModeWriteThrough && len(puts) > 0 {
 		if err := t.cfg.Backing.BatchPut(ctx, puts); err != nil {
 			unlock()
-			return fmt.Errorf("memtable: batch write-through: %w", err)
+			return nil, fmt.Errorf("memtable: batch write-through: %w", err)
 		}
 	}
 	wake := false
@@ -840,17 +671,22 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 				sh.tombs[k] = t.cfg.Clock.Now()
 			}
 			if sh.flushing[k] > 0 {
+				// The key is in a flush batch already snapshotted: the
+				// in-flight BatchPut would re-create it in the backing
+				// store after the delete above. Record it so the
+				// flusher re-deletes once the last containing batch
+				// lands.
 				sh.deleted[k] = true
 			}
 			continue
 		}
 		v, cloned := puts[k]
 		if !cloned {
-			v = append(json.RawMessage(nil), op.Value...)
+			v = clone(op.Value)
 		}
 		sh.data[k] = v
 		sh.vers[k]++
-		delete(sh.deleted, k)
+		delete(sh.deleted, k) // a write supersedes a pending tombstone
 		delete(sh.tombs, k)
 		if t.cfg.Mode == ModeWriteBehind {
 			sh.dirty[k] = true
@@ -866,7 +702,7 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 		default:
 		}
 	}
-	return nil
+	return pending, nil
 }
 
 // flushLoop periodically consolidates dirty keys into batch writes.
@@ -894,7 +730,9 @@ func (t *Table) flushLoop() {
 // BatchPut would otherwise have resurrected them in the backing
 // store). Failed re-deletes stay in the shard's deleted set and are
 // retried on the next pass, so a transient backing failure cannot
-// permanently resurrect a deleted key.
+// permanently resurrect a deleted key. A failed batch ends the pass:
+// the store is failing, so the remaining shards' batches would most
+// likely fail too, and their keys stay dirty for the next pass.
 func (t *Table) flushAll(ctx context.Context) {
 	for _, sh := range t.shards {
 		sh.mu.Lock()
@@ -960,7 +798,7 @@ func (t *Table) flushAll(ctx context.Context) {
 				}
 			}
 			sh.mu.Unlock()
-			continue
+			return
 		}
 		for _, k := range redelete {
 			if derr := t.cfg.Backing.Delete(ctx, k); derr != nil {

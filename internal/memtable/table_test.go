@@ -560,12 +560,12 @@ func TestGetManyContextCancelledMidBatch(t *testing.T) {
 	}
 }
 
-// TestBatchOpsWidePath exercises the map-grouping fallback used for
-// batches wider than the small-batch fast path.
+// TestBatchOpsWidePath exercises a batch wide enough to span every
+// shard: one write, one read and one cold read-through of 103 keys.
 func TestBatchOpsWidePath(t *testing.T) {
 	tbl, db := newBacked(t, ModeWriteBehind)
 	ctx := context.Background()
-	const width = smallBatch*3 + 7
+	const width = 103
 	entries := make(map[string]json.RawMessage, width)
 	keys := make([]string, 0, width)
 	for i := 0; i < width; i++ {

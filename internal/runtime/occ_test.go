@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,6 +211,100 @@ func TestReadonlyConcurrentWithWriters(t *testing.T) {
 	}
 	if string(v) != fmt.Sprintf("%d", writers*perEach) {
 		t.Fatalf("counter = %s, want %d", v, writers*perEach)
+	}
+}
+
+// TestReadonlySnapshotIsConsistent: a writer sets the four keys a..d
+// of one object to one new value, over and over, while readonly calls
+// check that they see all four equal. A readonly call takes no object
+// lock, so the guarantee rests on the table: a multi-key read locks
+// its whole shard set at once and can never observe half of a commit.
+func TestReadonlySnapshotIsConsistent(t *testing.T) {
+	infra := testInfra(t)
+	reg := invoker.NewRegistry()
+	reg.Register("img/setall", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
+		var n int
+		_ = json.Unmarshal(task.State["a"], &n)
+		v, _ := json.Marshal(n + 1)
+		return invoker.Result{State: map[string]json.RawMessage{"a": v, "b": v, "c": v, "d": v}}, nil
+	}))
+	reg.Register("img/allequal", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
+		a := string(task.State["a"])
+		equal := a == string(task.State["b"]) && a == string(task.State["c"]) && a == string(task.State["d"])
+		out, _ := json.Marshal(equal)
+		return invoker.Result{Output: out}, nil
+	}))
+	infra.Transport = invoker.NewLocal(reg)
+	for _, mode := range []model.ConcurrencyMode{model.ConcurrencyLocked, model.ConcurrencyOCC, model.ConcurrencyAdaptive} {
+		t.Run(string(mode), func(t *testing.T) {
+			yaml := fmt.Sprintf(`classes:
+  - name: Quad
+    concurrencyMode: %s
+    keySpecs:
+      - name: a
+        kind: number
+        default: 0
+      - name: b
+        kind: number
+        default: 0
+      - name: c
+        kind: number
+        default: 0
+      - name: d
+        kind: number
+        default: 0
+    functions:
+      - name: set
+        image: img/setall
+      - name: check
+        image: img/allequal
+        readonly: true
+`, mode)
+			rt, err := New(infra, resolvedClass(t, yaml, "Quad"), stdTemplate())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rt.Close)
+			ctx := context.Background()
+			if err := rt.InitObjectState(ctx, "q"); err != nil {
+				t.Fatal(err)
+			}
+			var stop atomic.Bool
+			var reads, torn atomic.Int64
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer stop.Store(true)
+				for i := 0; i < 10000; i++ {
+					if _, err := rt.Invoke(ctx, "q", "set", nil, nil); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						out, err := rt.Invoke(ctx, "q", "check", nil, nil)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						reads.Add(1)
+						if string(out) != "true" {
+							torn.Add(1)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if n := torn.Load(); n != 0 {
+				t.Fatalf("%d of %d readonly calls saw a torn snapshot", n, reads.Load())
+			}
+		})
 	}
 }
 

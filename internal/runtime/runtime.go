@@ -317,7 +317,6 @@ func New(infra Infra, class *model.Class, tmpl Template) (*ClassRuntime, error) 
 	table, err := memtable.New(memtable.Config{
 		Mode:                tmpl.TableMode,
 		Backing:             infra.Backing,
-		Shards:              tmpl.Shards,
 		FlushInterval:       tmpl.FlushInterval,
 		FlushBatchSize:      tmpl.FlushBatchSize,
 		TombstoneTTL:        infra.TombstoneTTL,

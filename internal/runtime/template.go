@@ -68,8 +68,6 @@ type Template struct {
 	// FlushInterval / FlushBatchSize tune the write-behind flusher.
 	FlushInterval  time.Duration
 	FlushBatchSize int
-	// Shards is the state table partition count (0 = default).
-	Shards int
 
 	// DefaultConcurrency is the per-pod request limit applied to
 	// functions that do not declare their own.

@@ -441,10 +441,17 @@ type Bus struct {
 	streams  map[string]map[*Stream]struct{}
 
 	// The delivery pool. delCond (on delMu) is broadcast on every
-	// enqueue and every completed run; workers and Drain both wait on
-	// it against their own predicates.
+	// enqueue and every completed run, and when pending falls to zero
+	// while a Drain waits; workers and Drain both wait on it against
+	// their own predicates. pending counts accepted-but-undispatched
+	// events; unlike a WaitGroup it may rise from zero while Drain
+	// waits, as publishers keep publishing during a drain. drains
+	// counts the waiting Drain calls, so the publish and dispatch path
+	// touches delMu only when one is waiting.
 	delMu     sync.Mutex
 	delCond   *sync.Cond
+	pending   atomic.Int64
+	drains    atomic.Int32
 	delQueue  []delItem
 	delState  map[string]*consumerState
 	delBusy   int
@@ -462,10 +469,9 @@ type Bus struct {
 	// across its closed-check, log append and shard send; Close flips
 	// closed under the write side, so once Close proceeds no publisher
 	// can be mid-send and closing the shard channels is race-free.
-	pubMu   sync.RWMutex
-	closed  bool
-	pending sync.WaitGroup // accepted-but-undispatched events
-	wg      sync.WaitGroup // dispatcher goroutines
+	pubMu  sync.RWMutex
+	closed bool
+	wg     sync.WaitGroup // dispatcher goroutines
 }
 
 // New builds a bus and starts one dispatcher per shard plus the
@@ -791,8 +797,21 @@ func (b *Bus) enqueue(ev Event) {
 	select {
 	case sh.ch <- ev:
 	default:
-		b.pending.Done()
+		b.donePending()
 		b.cfg.Metrics.Counter("trigger.dropped").Inc()
+	}
+}
+
+// donePending retires one accepted event, waking any waiting Drain
+// when none are left. Drain raises drains under delMu before it reads
+// pending, so either it reads zero or this load sees it waiting and
+// the broadcast (which needs delMu, held by Drain until it waits)
+// reaches it.
+func (b *Bus) donePending() {
+	if b.pending.Add(-1) == 0 && b.drains.Load() > 0 {
+		b.delMu.Lock()
+		b.delCond.Broadcast()
+		b.delMu.Unlock()
 	}
 }
 
@@ -807,7 +826,7 @@ func (b *Bus) dispatchLoop(sh *busShard) {
 		if !b.killed.Load() {
 			matched = b.dispatch(ev, matched[:0])
 		}
-		b.pending.Done()
+		b.donePending()
 	}
 }
 
@@ -1240,15 +1259,16 @@ func (b *Bus) deliverStreams(ev Event) {
 // calls this from its Close so terminal-record webhooks drain before
 // the platform tears down.
 func (b *Bus) Drain() {
-	b.pending.Wait()
+	// One predicate over one lock: pool runs may publish follow-on
+	// events (method sinks chain), so dispatch and delivery must be
+	// quiet at the same instant.
 	b.delMu.Lock()
-	for (len(b.delQueue) > 0 || b.delBusy > 0) && !b.killed.Load() {
+	b.drains.Add(1)
+	for b.pending.Load() > 0 || (len(b.delQueue) > 0 || b.delBusy > 0) && !b.killed.Load() {
 		b.delCond.Wait()
 	}
+	b.drains.Add(-1)
 	b.delMu.Unlock()
-	// Pool runs may have published follow-on events (method sinks
-	// chain); cover the dispatch of anything they enqueued.
-	b.pending.Wait()
 }
 
 // SubscriptionStats is one subscription's delivery counters.

@@ -32,15 +32,16 @@
 // Workers drain in batches: each pull takes up to Config.DrainBatch
 // tasks from the shard (blocking for the first, non-blocking for the
 // rest), writes the running and terminal record transitions for the
-// whole pull in one batched memtable.PutMany each, and groups the
-// pull's tasks by target object. When Config.InvokeBatch is set,
-// same-object groups of two or more dispatch through it in one call —
-// the runtime's group-commit path — so N coalesced invocations on a
-// hot object cost one concurrency window and one simulated DB round
-// trip instead of N. Per-call outcomes stay independent: a failing or
-// panicking member poisons only its own record. Stats().BatchedDrains
+// whole pull in one batched table write each, and groups the pull's
+// tasks by target object. Every group goes through one execution
+// step, Config.InvokeBatch — the runtime's group-commit path — so N
+// coalesced invocations on a hot object cost one concurrency window
+// and one simulated DB round trip instead of N. A lone task is a group
+// of one, and a retry re-runs its failed call as a group of one
+// through the same step. Per-call outcomes stay independent: a failing
+// or panicking member poisons only its own record. Stats().BatchedDrains
 // counts multi-task pulls and Stats().Coalesced counts invocations
-// that shared a group dispatch.
+// that shared a group of two or more.
 //
 // # Class quotas
 //
@@ -130,12 +131,7 @@ type Record struct {
 	Finished time.Time `json:"finished,omitzero"`
 }
 
-// Invoker executes one dequeued invocation. The platform passes its
-// synchronous Invoke path here; the indirection keeps this package free
-// of a dependency on core.
-type Invoker func(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (json.RawMessage, error)
-
-// Call is one member of a coalesced same-object dispatch.
+// Call is one member of a same-object group dispatch.
 type Call struct {
 	// Member is the method name.
 	Member string
@@ -147,7 +143,7 @@ type Call struct {
 	Ctx context.Context
 }
 
-// CallResult is one coalesced call's outcome.
+// CallResult is one call's outcome.
 type CallResult struct {
 	Output json.RawMessage
 	Err    error
@@ -155,8 +151,13 @@ type CallResult struct {
 
 // BatchInvoker executes a group of calls against one object in a
 // single concurrency window (the platform passes its group-commit
-// InvokeBatch path). It must return exactly one result per call;
+// InvokeBatch path; the indirection keeps this package free of a
+// dependency on core). It must return exactly one result per call;
 // results are independent — one failing call must not poison the rest.
+// ctx scopes the group's shared work (admission, state load, commit):
+// it carries the trace span of the group's first traced call and never
+// a call's deadline or cancellation, which reach only that call's
+// Call.Ctx.
 type BatchInvoker func(ctx context.Context, objectID string, calls []Call) []CallResult
 
 // Request is one batch-submission entry.
@@ -169,11 +170,10 @@ type Request struct {
 
 // Config sizes a Queue.
 type Config struct {
-	// Invoke drains dequeued tasks; required.
-	Invoke Invoker
-	// InvokeBatch, when set, executes same-object groups of a drain
-	// pull in one call (group commit). Groups of one, and every group
-	// when InvokeBatch is nil, go through Invoke.
+	// InvokeBatch executes every dequeued task; required. Each drain
+	// pull is split into same-object groups, and each group runs in one
+	// call (group commit): a lone task is a group of one, and every
+	// retry re-runs its call as a group of one.
 	InvokeBatch BatchInvoker
 	// DrainBatch is the maximum number of tasks one worker pulls from
 	// its shard per drain (the first blocking, the rest non-blocking).
@@ -328,12 +328,28 @@ func (t *task) dropTrace(err error) {
 	t.link.Release()
 }
 
+// record is the task's invocation record in status st, carrying the
+// submission so the record alone can re-execute it.
+func (t *task) record(st Status) Record {
+	return Record{
+		ID: t.id, Object: t.object, Member: t.member, Status: st,
+		Enqueued: t.queued, Payload: t.payload, Args: t.args,
+	}
+}
+
 // Queue is the asynchronous invocation engine. It is safe for
 // concurrent use.
 type Queue struct {
 	cfg     Config
 	records *memtable.Table
 	shards  []chan task
+
+	// Metric handles, resolved once in New.
+	depth, inflight                                        *metrics.Gauge
+	enqueued, rejected, quotaRejected, requeued, recovered *metrics.Counter
+	completed, failed, expired, retries, evicted           *metrics.Counter
+	batchedDrains, coalesced, panics                       *metrics.Counter
+	waitTime, execTime                                     *metrics.Histogram
 
 	mu      sync.Mutex
 	waiters map[string]chan struct{}
@@ -374,8 +390,8 @@ func recordKey(id string) string { return "invocations/" + id }
 // New builds a queue and starts its worker pool.
 func New(cfg Config) (*Queue, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Invoke == nil {
-		return nil, errors.New("asyncq: Config.Invoke is required")
+	if cfg.InvokeBatch == nil {
+		return nil, errors.New("asyncq: Config.InvokeBatch is required")
 	}
 	if len(cfg.ClassQuotas) > 0 && cfg.ClassOf == nil {
 		// Without a class resolver every task's class is "" and the
@@ -395,13 +411,31 @@ func New(cfg Config) (*Queue, error) {
 	if err != nil {
 		return nil, fmt.Errorf("asyncq: record table: %w", err)
 	}
+	m := cfg.Metrics
 	q := &Queue{
-		cfg:          cfg,
-		records:      records,
-		shards:       make([]chan task, cfg.Shards),
-		waiters:      make(map[string]chan struct{}),
-		classPending: make(map[string]int),
-		tracked:      make(map[string]struct{}),
+		cfg:           cfg,
+		records:       records,
+		shards:        make([]chan task, cfg.Shards),
+		depth:         m.Gauge("queue.depth"),
+		inflight:      m.Gauge("queue.inflight"),
+		enqueued:      m.Counter("queue.enqueued"),
+		rejected:      m.Counter("queue.rejected"),
+		quotaRejected: m.Counter("queue.quota_rejected"),
+		requeued:      m.Counter("queue.requeued"),
+		recovered:     m.Counter("queue.recovered"),
+		completed:     m.Counter("queue.completed"),
+		failed:        m.Counter("queue.failed"),
+		expired:       m.Counter("queue.expired"),
+		retries:       m.Counter("queue.retries"),
+		evicted:       m.Counter("queue.evicted"),
+		batchedDrains: m.Counter("queue.batched_drains"),
+		coalesced:     m.Counter("queue.coalesced"),
+		panics:        m.Counter("queue.panics"),
+		waitTime:      m.Histogram("queue.wait"),
+		execTime:      m.Histogram("queue.exec"),
+		waiters:       make(map[string]chan struct{}),
+		classPending:  make(map[string]int),
+		tracked:       make(map[string]struct{}),
 	}
 	perShard := (cfg.Capacity + cfg.Shards - 1) / cfg.Shards
 	for i := range q.shards {
@@ -450,12 +484,46 @@ func (q *Queue) Submit(ctx context.Context, objectID, member string, payload jso
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
+	t := q.newTask(ctx, newInvocationID(), objectID, member,
+		append(json.RawMessage(nil), payload...), maps.Clone(args))
+	if sp := trace.FromContext(ctx); sp != nil {
+		// The queue hop outlives the submitter's request: a link keeps
+		// the trace open until the task goes terminal, and the wait span
+		// measures time-to-drain.
+		sp.SetInvocation(t.id)
+		t.link = sp.Link()
+		t.span = sp.Child("queue.wait")
+	}
+	// The pending record must exist before the task is visible to a
+	// worker: a fast worker would otherwise write the terminal record
+	// first and have it clobbered by a late pending write (leaving
+	// pollers stuck at "pending" forever).
+	q.putRecords(t.record(StatusPending))
+	if err := q.enqueue(t, fromSubmit); err != nil {
+		switch {
+		case errors.Is(err, ErrClassQuotaExceeded):
+			q.quotaRejected.Inc()
+		case errors.Is(err, ErrQueueFull):
+			q.rejected.Inc()
+		}
+		_ = q.records.Delete(context.Background(), recordKey(t.id))
+		t.dropTrace(err)
+		return "", err
+	}
+	q.enqueued.Inc()
+	return t.id, nil
+}
+
+// newTask builds a queued task stamped now, resolving its deadline —
+// the earlier of now+TimeoutFor and ctx's own deadline — and its quota
+// class.
+func (q *Queue) newTask(ctx context.Context, id, objectID, member string, payload json.RawMessage, args map[string]string) task {
 	t := task{
-		id:      newInvocationID(),
+		id:      id,
 		object:  objectID,
 		member:  member,
-		payload: append(json.RawMessage(nil), payload...),
-		args:    maps.Clone(args),
+		payload: payload,
+		args:    args,
 		ctx:     ctx,
 		queued:  q.cfg.Clock.Now(),
 	}
@@ -470,63 +538,64 @@ func (q *Queue) Submit(ctx context.Context, objectID, member string, payload jso
 	if len(q.cfg.ClassQuotas) > 0 && q.cfg.ClassOf != nil {
 		t.class = q.cfg.ClassOf(objectID)
 	}
-	if sp := trace.FromContext(ctx); sp != nil {
-		// The queue hop outlives the submitter's request: a link keeps
-		// the trace open until the task goes terminal, and the wait span
-		// measures time-to-drain.
-		sp.SetInvocation(t.id)
-		t.link = sp.Link()
-		t.span = sp.Child("queue.wait")
-	}
-	// The pending record and depth gauge must exist before the task is
-	// visible to a worker: a fast worker would otherwise write the
-	// terminal record first and have it clobbered by a late pending
-	// write (leaving pollers stuck at "pending" forever).
-	q.putRecord(Record{
-		ID: t.id, Object: objectID, Member: member,
-		Status: StatusPending, Enqueued: t.queued,
-		Payload: t.payload, Args: t.args,
-	})
-	m := q.cfg.Metrics
-	m.Gauge("queue.depth").Add(1)
-	// The closed check, quota reservation and shard send share the lock
-	// so Close cannot observe an accepted task it will not drain and a
-	// quota can never be oversubscribed by racing submitters.
+	return t
+}
+
+// source names the caller of enqueue; each brings one admission rule
+// of its own.
+type source int
+
+const (
+	// fromSubmit is a new submission: the class quota applies.
+	fromSubmit source = iota
+	// fromRequeue sends back a task this queue still tracks.
+	fromRequeue
+	// fromRecover adopts a stranded record, unless a live path in this
+	// process already tracks its ID.
+	fromRecover
+)
+
+// errLive rejects a recovery of an invocation still queued or
+// executing in this process.
+var errLive = errors.New("asyncq: invocation is live")
+
+// enqueue makes t visible to a worker: the one way into the queue.
+// Under q.mu it checks the queue is open, applies the caller's
+// admission rule, sends t to its shard and books it in classPending,
+// tracked and the depth gauge. The closed check and the send share the
+// lock so Close cannot observe an accepted task it will not drain
+// (shutdown closes the shards only after setting closed under the same
+// lock), and a quota can never be oversubscribed by racing submitters.
+func (q *Queue) enqueue(t task, from source) error {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
-		m.Gauge("queue.depth").Add(-1)
-		_ = q.records.Delete(context.Background(), recordKey(t.id))
-		t.dropTrace(ErrClosed)
-		return "", ErrClosed
+		return ErrClosed
 	}
-	if quota, capped := q.cfg.ClassQuotas[t.class]; capped && t.class != "" && q.classPending[t.class] >= quota {
-		q.mu.Unlock()
-		m.Gauge("queue.depth").Add(-1)
-		m.Counter("queue.quota_rejected").Inc()
-		_ = q.records.Delete(context.Background(), recordKey(t.id))
-		err := fmt.Errorf("%w: class %s at quota %d", ErrClassQuotaExceeded, t.class, quota)
-		t.dropTrace(err)
-		return "", err
+	switch from {
+	case fromSubmit:
+		if quota, capped := q.cfg.ClassQuotas[t.class]; capped && t.class != "" && q.classPending[t.class] >= quota {
+			return fmt.Errorf("%w: class %s at quota %d", ErrClassQuotaExceeded, t.class, quota)
+		}
+	case fromRecover:
+		if _, live := q.tracked[t.id]; live {
+			return errLive
+		}
 	}
+	// The gauge rises before the send: a worker may dequeue (and
+	// decrement it) before this goroutine runs again.
+	q.depth.Add(1)
 	select {
 	case q.shardFor(t.id) <- t:
 	default:
-		q.mu.Unlock()
-		m.Gauge("queue.depth").Add(-1)
-		m.Counter("queue.rejected").Inc()
-		_ = q.records.Delete(context.Background(), recordKey(t.id))
-		err := fmt.Errorf("%w: object %s", ErrQueueFull, objectID)
-		t.dropTrace(err)
-		return "", err
+		q.depth.Add(-1)
+		return fmt.Errorf("%w: object %s", ErrQueueFull, t.object)
 	}
 	if t.class != "" {
 		q.classPending[t.class]++
 	}
 	q.tracked[t.id] = struct{}{}
-	m.Counter("queue.enqueued").Inc()
-	q.mu.Unlock()
-	return t.id, nil
+	return nil
 }
 
 // BatchResult is one batch-submission outcome.
@@ -539,7 +608,7 @@ type BatchResult struct {
 // terminal failure rather than leaving the invocation parked in a
 // non-terminal state forever. Only Result (a handler-supplied
 // RawMessage) can be unencodable.
-func encodeRecord(rec Record) (Record, json.RawMessage) {
+func encodeRecord(rec Record) json.RawMessage {
 	raw, err := json.Marshal(rec)
 	if err != nil {
 		rec.Result = nil
@@ -547,44 +616,29 @@ func encodeRecord(rec Record) (Record, json.RawMessage) {
 		rec.Error = "asyncq: unencodable result: " + err.Error()
 		raw, _ = json.Marshal(rec)
 	}
-	return rec, raw
+	return raw
 }
 
-// putRecord persists a record transition and wakes terminal waiters.
-func (q *Queue) putRecord(rec Record) {
-	rec, raw := encodeRecord(rec)
-	// Record writes must outlive the submitter's context: a cancelled
-	// invocation still gets its terminal "failed" record.
-	_ = q.records.Put(context.Background(), recordKey(rec.ID), raw)
-	if rec.Status.Terminal() {
-		q.noteTerminal(rec.ID)
-	}
-}
-
-// putRecords persists a whole drain pull's record transitions in one
-// batched table write — the per-pull consolidation that replaces one
-// putRecord (and one shard-lock window) per task — then runs the
-// terminal bookkeeping for every record that went terminal.
-func (q *Queue) putRecords(recs []Record) {
+// putRecords persists record transitions — one submission's, or a
+// whole drain pull's — in one table write, then wakes the waiters of
+// every record that went terminal. The write is a single unconditional
+// commit whatever the count, so a pull costs one shard-lock window, not
+// one per task.
+func (q *Queue) putRecords(recs ...Record) {
 	if len(recs) == 0 {
 		return
 	}
-	if len(recs) == 1 {
-		q.putRecord(recs[0])
-		return
-	}
-	entries := make(map[string]json.RawMessage, len(recs))
-	terminal := make([]string, 0, len(recs))
+	ops := make(map[string]memtable.CASOp, len(recs))
 	for _, rec := range recs {
-		rec, raw := encodeRecord(rec)
-		entries[recordKey(rec.ID)] = raw
-		if rec.Status.Terminal() {
-			terminal = append(terminal, rec.ID)
-		}
+		ops[recordKey(rec.ID)] = memtable.CASOp{Expect: memtable.AnyVersion, Value: encodeRecord(rec), Write: true}
 	}
-	_ = q.records.PutMany(context.Background(), entries)
-	for _, id := range terminal {
-		q.noteTerminal(id)
+	// Record writes must outlive the submitter's context: a cancelled
+	// invocation still gets its terminal "failed" record.
+	_ = q.records.PutManyIfVersion(context.Background(), ops)
+	for _, rec := range recs {
+		if rec.Status.Terminal() {
+			q.noteTerminal(rec.ID)
+		}
 	}
 }
 
@@ -649,7 +703,7 @@ func (q *Queue) evictExpired() {
 			q.terminalMu.Unlock()
 			continue
 		}
-		q.cfg.Metrics.Counter("queue.evicted").Inc()
+		q.evicted.Inc()
 	}
 }
 
@@ -741,12 +795,6 @@ func (q *Queue) worker(shard chan task) {
 	}
 }
 
-// outcome is one drained task's execution result.
-type outcome struct {
-	out json.RawMessage
-	err error
-}
-
 // runBatch executes one drain pull: it writes the pull's running (and
 // cancelled-while-queued failed) record transitions in one batched
 // table write, groups runnable tasks by target object for coalesced
@@ -760,25 +808,21 @@ type outcome struct {
 // timestamps — the throughput/latency trade the drain batching makes,
 // bounded by DrainBatch. DrainBatch=1 restores per-task publication.
 func (q *Queue) runBatch(batch []task) {
-	m := q.cfg.Metrics
-	m.Gauge("queue.depth").Add(-int64(len(batch)))
+	q.depth.Add(-int64(len(batch)))
 	q.releaseQuota(batch)
 	if len(batch) > 1 {
-		m.Counter("queue.batched_drains").Inc()
+		q.batchedDrains.Inc()
 	}
 	started := q.cfg.Clock.Now()
 	recs := make([]Record, 0, len(batch))
 	runnable := make([]task, 0, len(batch))
 	var cancelled []terminalHook
 	for _, t := range batch {
-		m.Histogram("queue.wait").Observe(q.cfg.Clock.Since(t.queued))
-		rec := Record{
-			ID: t.id, Object: t.object, Member: t.member,
-			Status: StatusRunning, Enqueued: t.queued, Started: started,
-			// Running records keep the submission so a crash mid-run
-			// leaves enough in the backing store to re-execute.
-			Payload: t.payload, Args: t.args,
-		}
+		q.waitTime.Observe(q.cfg.Clock.Since(t.queued))
+		// Running records keep the submission so a crash mid-run leaves
+		// enough in the backing store to re-execute.
+		rec := t.record(StatusRunning)
+		rec.Started = started
 		// A submission cancelled or expired while queued goes terminal
 		// without invoking; its terminal metrics mirror every other exit
 		// path (a zero execution-time sample keeps queue.exec's count
@@ -788,12 +832,12 @@ func (q *Queue) runBatch(batch []task) {
 			rec.Payload, rec.Args = nil, nil
 			if errors.Is(err, context.DeadlineExceeded) {
 				rec.Status, rec.Error = StatusExpired, err.Error()
-				m.Counter("queue.expired").Inc()
+				q.expired.Inc()
 			} else {
 				rec.Status, rec.Error = StatusFailed, err.Error()
-				m.Counter("queue.failed").Inc()
+				q.failed.Inc()
 			}
-			m.Histogram("queue.exec").Observe(0)
+			q.execTime.Observe(0)
 			recs = append(recs, rec)
 			cancelled = append(cancelled, terminalHook{rec: rec, args: t.args})
 			t.dropTrace(err)
@@ -806,8 +850,8 @@ func (q *Queue) runBatch(batch []task) {
 			rec.Status, rec.Finished = StatusExpired, started
 			rec.Payload, rec.Args = nil, nil
 			rec.Error = "asyncq: submission deadline elapsed while queued"
-			m.Histogram("queue.exec").Observe(0)
-			m.Counter("queue.expired").Inc()
+			q.execTime.Observe(0)
+			q.expired.Inc()
 			recs = append(recs, rec)
 			cancelled = append(cancelled, terminalHook{rec: rec, args: t.args})
 			t.dropTrace(errors.New(rec.Error))
@@ -817,19 +861,19 @@ func (q *Queue) runBatch(batch []task) {
 		recs = append(recs, rec)
 		runnable = append(runnable, t)
 	}
-	q.putRecords(recs)
+	q.putRecords(recs...)
 	q.notifyTerminal(cancelled)
 	if len(runnable) == 0 {
 		return
 	}
-	m.Gauge("queue.inflight").Add(int64(len(runnable)))
+	q.inflight.Add(int64(len(runnable)))
 	outcomes := q.executeGroups(runnable)
-	m.Gauge("queue.inflight").Add(-int64(len(runnable)))
+	q.inflight.Add(-int64(len(runnable)))
 	finished := q.cfg.Clock.Now()
 	term := make([]Record, 0, len(runnable))
 	hooks := make([]terminalHook, 0, len(runnable))
 	for i, t := range runnable {
-		out, err := outcomes[i].out, outcomes[i].err
+		out, err := outcomes[i].Output, outcomes[i].Err
 		if err == nil && len(out) > 0 && !json.Valid(out) {
 			err = fmt.Errorf("asyncq: handler returned invalid JSON output")
 		}
@@ -856,25 +900,25 @@ func (q *Queue) runBatch(batch []task) {
 		}
 		// One exec sample per task keeps the histogram count equal to
 		// the terminal-record count across batch sizes.
-		m.Histogram("queue.exec").Observe(finished.Sub(started))
+		q.execTime.Observe(finished.Sub(started))
 		switch {
 		case err != nil && errors.Is(err, context.DeadlineExceeded):
 			// The handler outlived the task's deadline; the runtime's
 			// commit guards guarantee its delta never persisted.
 			rec.Status, rec.Error = StatusExpired, err.Error()
-			m.Counter("queue.expired").Inc()
+			q.expired.Inc()
 		case err != nil:
 			rec.Status, rec.Error = StatusFailed, err.Error()
-			m.Counter("queue.failed").Inc()
+			q.failed.Inc()
 		default:
 			rec.Status, rec.Result = StatusCompleted, out
-			m.Counter("queue.completed").Inc()
+			q.completed.Inc()
 		}
 		term = append(term, rec)
 		hooks = append(hooks, terminalHook{rec: rec, args: t.args})
 		t.link.Release() // terminal: the trace's queue hop is over
 	}
-	q.putRecords(term)
+	q.putRecords(term...)
 	q.notifyTerminal(hooks)
 }
 
@@ -882,34 +926,13 @@ func (q *Queue) runBatch(batch []task) {
 // record first (record before send, same as Submit, so a fast worker
 // cannot have its terminal write clobbered). It reports false when the
 // queue is closing or the shard is full — the caller then falls back
-// to the terminal path. Safe against Close: the closed check and the
-// send share q.mu, and shutdown closes the shards only after setting
-// closed under the same lock.
+// to the terminal path.
 func (q *Queue) requeue(t task) bool {
-	q.putRecord(Record{
-		ID: t.id, Object: t.object, Member: t.member,
-		Status: StatusPending, Enqueued: t.queued,
-		Payload: t.payload, Args: t.args,
-	})
-	m := q.cfg.Metrics
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
+	q.putRecords(t.record(StatusPending))
+	if q.enqueue(t, fromRequeue) != nil {
 		return false
 	}
-	select {
-	case q.shardFor(t.id) <- t:
-	default:
-		q.mu.Unlock()
-		return false
-	}
-	if t.class != "" {
-		q.classPending[t.class]++
-	}
-	q.tracked[t.id] = struct{}{}
-	m.Gauge("queue.depth").Add(1)
-	m.Counter("queue.requeued").Inc()
-	q.mu.Unlock()
+	q.requeued.Inc()
 	return true
 }
 
@@ -929,14 +952,14 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 		return 0, err
 	}
 	adopted := 0
-	now := q.cfg.Clock.Now()
 	for _, key := range keys {
 		id := key[len("invocations/"):]
 		// Tracked check BEFORE the record read: a worker untracks only
 		// after persisting the terminal record, so an untracked ID
 		// whose record still reads non-terminal is genuinely stranded
 		// (the inverse order could adopt a task that went terminal
-		// between the read and the check).
+		// between the read and the check). enqueue checks again under
+		// the lock that guards the send.
 		q.mu.Lock()
 		_, live := q.tracked[id]
 		q.mu.Unlock()
@@ -955,47 +978,14 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 		if json.Unmarshal(raw, &rec) != nil || rec.ID == "" || rec.Status.Terminal() {
 			continue
 		}
-		t := task{
-			id:       rec.ID,
-			object:   rec.Object,
-			member:   rec.Member,
-			payload:  rec.Payload,
-			args:     rec.Args,
-			ctx:      context.Background(),
-			queued:   now,
-			requeues: 0,
+		t := q.newTask(context.Background(), rec.ID, rec.Object, rec.Member, rec.Payload, rec.Args)
+		switch err := q.enqueue(t, fromRecover); {
+		case errors.Is(err, ErrClosed):
+			return adopted, nil
+		case err != nil:
+			continue // still live here, or shard full: the next recovery pass retries
 		}
-		if q.cfg.TimeoutFor != nil {
-			if d := q.cfg.TimeoutFor(t.object, t.member); d > 0 {
-				t.deadline = now.Add(d)
-			}
-		}
-		if len(q.cfg.ClassQuotas) > 0 && q.cfg.ClassOf != nil {
-			t.class = q.cfg.ClassOf(t.object)
-		}
-		m := q.cfg.Metrics
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			break
-		}
-		if _, live := q.tracked[rec.ID]; live {
-			q.mu.Unlock()
-			continue // still queued or executing in this process
-		}
-		select {
-		case q.shardFor(t.id) <- t:
-		default:
-			q.mu.Unlock()
-			continue // shard full; the next recovery pass retries
-		}
-		if t.class != "" {
-			q.classPending[t.class]++
-		}
-		q.tracked[t.id] = struct{}{}
-		m.Gauge("queue.depth").Add(1)
-		m.Counter("queue.recovered").Inc()
-		q.mu.Unlock()
+		q.recovered.Inc()
 		adopted++
 	}
 	return adopted, nil
@@ -1037,21 +1027,15 @@ func (q *Queue) releaseQuota(batch []task) {
 	q.mu.Unlock()
 }
 
-// executeGroups runs the pull's tasks grouped by target object. Groups
-// of two or more dispatch through the batch invoker in one group-commit
-// window when one is configured (counted in queue.coalesced); singleton
-// groups — and every group when no batch invoker is set — run through
-// the per-task path with its retry policy. Outcomes align with tasks.
-func (q *Queue) executeGroups(tasks []task) []outcome {
-	outcomes := make([]outcome, len(tasks))
-	if q.cfg.InvokeBatch == nil || len(tasks) == 1 {
-		for i, t := range tasks {
-			outcomes[i].out, outcomes[i].err = q.invokeWithRetries(t)
-		}
+// executeGroups runs the pull's tasks grouped by target object, in
+// dequeue order within each group, each group through runGroup.
+// Outcomes align with tasks.
+func (q *Queue) executeGroups(tasks []task) []CallResult {
+	outcomes := make([]CallResult, len(tasks))
+	if len(tasks) == 1 {
+		q.runGroup(tasks, []int{0}, outcomes)
 		return outcomes
 	}
-	// Group positions by object, preserving dequeue order within each
-	// group so same-object calls execute in the order they drained.
 	groups := make(map[string][]int, len(tasks))
 	order := make([]string, 0, len(tasks))
 	for i, t := range tasks {
@@ -1061,63 +1045,78 @@ func (q *Queue) executeGroups(tasks []task) []outcome {
 		groups[t.object] = append(groups[t.object], i)
 	}
 	for _, object := range order {
-		idxs := groups[object]
-		if len(idxs) == 1 {
-			i := idxs[0]
-			outcomes[i].out, outcomes[i].err = q.invokeWithRetries(tasks[i])
-			continue
-		}
-		q.cfg.Metrics.Counter("queue.coalesced").Add(int64(len(idxs)))
-		calls := make([]Call, len(idxs))
-		dspans := make([]*trace.Span, len(idxs))
-		var cancels []context.CancelFunc
-		for j, i := range idxs {
-			t := tasks[i]
-			dsp := t.link.Start("queue.drain")
-			dsp.SetInt("coalesced", len(idxs))
-			dspans[j] = dsp
-			cctx := trace.ContextWith(t.ctx, dsp)
-			if !t.deadline.IsZero() {
-				var cancel context.CancelFunc
-				cctx, cancel = context.WithDeadline(cctx, t.deadline)
-				cancels = append(cancels, cancel)
-			}
-			calls[j] = Call{Member: t.member, Payload: t.payload, Args: t.args, Ctx: cctx}
-		}
-		results := q.invokeBatch(object, calls)
-		for _, cancel := range cancels {
-			cancel()
-		}
-		for j := range dspans {
-			dspans[j].Error(results[j].Err)
-			dspans[j].End()
-		}
-		for j, i := range idxs {
-			out, err := results[j].Output, results[j].Err
-			if err != nil && q.cfg.MaxRetries > 0 && !errors.Is(err, context.DeadlineExceeded) &&
-				!(q.cfg.Requeue != nil && q.cfg.Requeue(err)) {
-				// Failed group members re-run individually under the
-				// standard retry policy, keeping per-call retry
-				// semantics identical to the per-task path.
-				out, err = q.retry(tasks[i], out, err)
-			}
-			outcomes[i] = outcome{out: out, err: err}
-		}
+		q.runGroup(tasks, groups[object], outcomes)
 	}
 	return outcomes
+}
+
+// runGroup runs the same-object tasks at positions idxs through
+// dispatch, then gives each failed call the retry policy.
+func (q *Queue) runGroup(tasks []task, idxs []int, outcomes []CallResult) {
+	q.dispatch(tasks, idxs, outcomes)
+	for _, i := range idxs {
+		q.retry(tasks, i, outcomes)
+	}
+}
+
+// dispatch is the queue's one execution step: it runs the same-object
+// tasks at positions idxs through the batch invoker in one call and
+// stores their outcomes. Each call runs under its own queue.drain span
+// of its submission's trace and its own context, capped to its
+// submission deadline. The group's shared context carries only the
+// first traced call's drain span, so the group's admission, load and
+// commit spans join that trace; it never carries a call's deadline or
+// cancellation, which would cut the group's shared work short for the
+// rest. Groups of two or more count in queue.coalesced.
+func (q *Queue) dispatch(tasks []task, idxs []int, outcomes []CallResult) {
+	n := len(idxs)
+	if n > 1 {
+		q.coalesced.Add(int64(n))
+	}
+	calls := make([]Call, n)
+	spans := make([]*trace.Span, n)
+	var cancels []context.CancelFunc
+	var lead *trace.Span // the first traced call's drain span
+	for j, i := range idxs {
+		t := &tasks[i]
+		dsp := t.link.Start("queue.drain")
+		if n > 1 {
+			dsp.SetInt("coalesced", n)
+		}
+		if lead == nil {
+			lead = dsp
+		}
+		spans[j] = dsp
+		cctx := trace.ContextWith(t.ctx, dsp)
+		if !t.deadline.IsZero() {
+			var cancel context.CancelFunc
+			cctx, cancel = context.WithDeadline(cctx, t.deadline)
+			cancels = append(cancels, cancel)
+		}
+		calls[j] = Call{Member: t.member, Payload: t.payload, Args: t.args, Ctx: cctx}
+	}
+	results := q.invokeBatch(trace.ContextWith(context.Background(), lead), tasks[idxs[0]].object, calls)
+	for _, cancel := range cancels {
+		cancel()
+	}
+	for j, i := range idxs {
+		spans[j].Error(results[j].Err)
+		spans[j].End()
+		outcomes[i] = results[j]
+	}
 }
 
 // invokeBatch calls the batch invoker with panic isolation and a
 // result-shape guard: a misbehaving batch executor fails the whole
 // group's calls without killing the worker.
-func (q *Queue) invokeBatch(object string, calls []Call) (results []CallResult) {
+func (q *Queue) invokeBatch(ctx context.Context, object string, calls []Call) (results []CallResult) {
 	defer func() {
 		if r := recover(); r != nil {
-			q.cfg.Metrics.Counter("queue.panics").Inc()
+			q.panics.Inc()
 			results = failAll(calls, fmt.Errorf("asyncq: batch handler panic: %v", r))
 		}
 	}()
-	results = q.cfg.InvokeBatch(context.Background(), object, calls)
+	results = q.cfg.InvokeBatch(ctx, object, calls)
 	if len(results) != len(calls) {
 		results = failAll(calls, fmt.Errorf("asyncq: batch invoker returned %d results for %d calls", len(results), len(calls)))
 	}
@@ -1133,76 +1132,35 @@ func failAll(calls []Call, err error) []CallResult {
 	return out
 }
 
-// invokeWithRetries drives the retry policy: a failed invocation is
-// re-run up to MaxRetries additional times, waiting RetryBackoff
-// (doubled per attempt) between runs, before the failure becomes
-// terminal. Retries run inline on the worker — the record stays
-// "running" across attempts — and stop immediately once the
-// submitter's context is cancelled. Each re-run is counted in the
-// queue.retries metric (Stats().Retried).
-func (q *Queue) invokeWithRetries(t task) (json.RawMessage, error) {
-	out, err := q.invoke(t)
-	if err == nil || q.cfg.MaxRetries <= 0 || errors.Is(err, context.DeadlineExceeded) {
-		// A deadline expiry is never retried: the deadline is absolute,
-		// so every re-run would start already expired.
-		return out, err
-	}
-	if q.cfg.Requeue != nil && q.cfg.Requeue(err) {
-		// Requeue-classified errors (ownership fences) skip the inline
-		// retry: re-running immediately on this worker would race the
-		// rebalance it lost to. runBatch requeues it instead.
-		return out, err
-	}
-	return q.retry(t, out, err)
-}
-
-// retry re-runs an already-failed invocation under the backoff policy.
-func (q *Queue) retry(t task, out json.RawMessage, err error) (json.RawMessage, error) {
+// retry drives the retry policy for the failed call at position i: it
+// re-runs the call as a group of one through dispatch up to MaxRetries
+// more times, waiting RetryBackoff (doubled per attempt) between runs,
+// before the failure becomes terminal. Retries run inline on the
+// worker — the record stays "running" across attempts — and stop once
+// the submitter's context is cancelled or the submission deadline
+// passes. A deadline expiry is never retried (the deadline is
+// absolute, so every re-run would start already expired), and neither
+// is a Requeue-classified error (ownership fences: re-running on this
+// worker would race the rebalance it lost to; runBatch requeues it
+// instead). Each re-run counts in queue.retries (Stats().Retried).
+func (q *Queue) retry(tasks []task, i int, outcomes []CallResult) {
+	t := &tasks[i]
 	backoff := q.cfg.RetryBackoff
 	for attempt := 0; attempt < q.cfg.MaxRetries; attempt++ {
-		if t.ctx.Err() != nil {
-			return out, err
+		err := outcomes[i].Err
+		if err == nil || errors.Is(err, context.DeadlineExceeded) || q.cfg.Requeue != nil && q.cfg.Requeue(err) {
+			return
 		}
-		if !t.deadline.IsZero() && !q.cfg.Clock.Now().Before(t.deadline) {
-			return out, err
+		if t.ctx.Err() != nil || !t.deadline.IsZero() && !q.cfg.Clock.Now().Before(t.deadline) {
+			return
 		}
-		if serr := q.cfg.Clock.Sleep(t.ctx, backoff); serr != nil {
-			return out, err
+		if q.cfg.Clock.Sleep(t.ctx, backoff) != nil {
+			return
 		}
 		backoff *= 2
-		q.cfg.Metrics.Counter("queue.retries").Inc()
-		if out, err = q.invoke(t); err == nil {
-			return out, nil
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			return out, err
-		}
+		q.retries.Inc()
+		q.dispatch(tasks, []int{i}, outcomes)
 	}
-	return out, err
-}
-
-// invoke calls the handler with panic isolation, capping the execution
-// context to the task's submission deadline. Each attempt runs under
-// its own queue.drain span of the submission's trace.
-func (q *Queue) invoke(t task) (out json.RawMessage, err error) {
-	dsp := t.link.Start("queue.drain")
-	defer func() {
-		dsp.Error(err)
-		dsp.End()
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			q.cfg.Metrics.Counter("queue.panics").Inc()
-			out, err = nil, fmt.Errorf("asyncq: handler panic: %v", r)
-		}
-	}()
-	ctx := trace.ContextWith(t.ctx, dsp)
-	if !t.deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, t.deadline)
-		defer cancel()
-	}
-	return q.cfg.Invoke(ctx, t.object, t.member, t.payload, t.args)
 }
 
 // Stats is a point-in-time queue snapshot.
@@ -1252,26 +1210,25 @@ type Stats struct {
 
 // Stats snapshots the queue counters.
 func (q *Queue) Stats() Stats {
-	m := q.cfg.Metrics
 	return Stats{
 		Workers:       q.cfg.Workers,
 		Shards:        q.cfg.Shards,
 		Capacity:      len(q.shards) * cap(q.shards[0]),
-		Depth:         m.Gauge("queue.depth").Value(),
-		InFlight:      m.Gauge("queue.inflight").Value(),
-		Enqueued:      m.Counter("queue.enqueued").Value(),
-		Rejected:      m.Counter("queue.rejected").Value(),
-		Completed:     m.Counter("queue.completed").Value(),
-		Failed:        m.Counter("queue.failed").Value(),
-		Expired:       m.Counter("queue.expired").Value(),
-		Retried:       m.Counter("queue.retries").Value(),
-		Requeued:      m.Counter("queue.requeued").Value(),
-		Recovered:     m.Counter("queue.recovered").Value(),
-		Evicted:       m.Counter("queue.evicted").Value(),
-		BatchedDrains: m.Counter("queue.batched_drains").Value(),
-		Coalesced:     m.Counter("queue.coalesced").Value(),
-		QuotaRejected: m.Counter("queue.quota_rejected").Value(),
-		DequeueP50:    m.Histogram("queue.wait").Quantile(0.5),
+		Depth:         q.depth.Value(),
+		InFlight:      q.inflight.Value(),
+		Enqueued:      q.enqueued.Value(),
+		Rejected:      q.rejected.Value(),
+		Completed:     q.completed.Value(),
+		Failed:        q.failed.Value(),
+		Expired:       q.expired.Value(),
+		Retried:       q.retries.Value(),
+		Requeued:      q.requeued.Value(),
+		Recovered:     q.recovered.Value(),
+		Evicted:       q.evicted.Value(),
+		BatchedDrains: q.batchedDrains.Value(),
+		Coalesced:     q.coalesced.Value(),
+		QuotaRejected: q.quotaRejected.Value(),
+		DequeueP50:    q.waitTime.Quantile(0.5),
 	}
 }
 

@@ -28,6 +28,18 @@ func (e *echoInvoker) invoke(_ context.Context, objectID, member string, payload
 	return out, nil
 }
 
+// perCall adapts a per-call handler to the batch invoker signature,
+// running a group's calls in order under each call's own context.
+func perCall(fn func(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (json.RawMessage, error)) BatchInvoker {
+	return func(_ context.Context, objectID string, calls []Call) []CallResult {
+		out := make([]CallResult, len(calls))
+		for i, c := range calls {
+			out[i].Output, out[i].Err = fn(c.Ctx, objectID, c.Member, c.Payload, c.Args)
+		}
+		return out
+	}
+}
+
 func newQueue(t *testing.T, cfg Config) *Queue {
 	t.Helper()
 	q, err := New(cfg)
@@ -40,7 +52,7 @@ func newQueue(t *testing.T, cfg Config) *Queue {
 
 func TestSubmitCompletesAndRecordsResult(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 2})
+	q := newQueue(t, Config{InvokeBatch: perCall(inv.invoke), Workers: 2})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, "obj-1", "greet", json.RawMessage(`"hi"`), nil)
 	if err != nil {
@@ -68,7 +80,7 @@ func TestSubmitCompletesAndRecordsResult(t *testing.T) {
 }
 
 func TestGetUnknownInvocation(t *testing.T) {
-	q := newQueue(t, Config{Invoke: (&echoInvoker{}).invoke})
+	q := newQueue(t, Config{InvokeBatch: perCall((&echoInvoker{}).invoke)})
 	if _, err := q.Get(context.Background(), "inv-ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
@@ -76,9 +88,9 @@ func TestGetUnknownInvocation(t *testing.T) {
 
 func TestFailedInvocationRecordsError(t *testing.T) {
 	boom := errors.New("boom")
-	q := newQueue(t, Config{Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{InvokeBatch: perCall(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		return nil, boom
-	}})
+	})})
 	id, err := q.Submit(context.Background(), "o", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +109,7 @@ func TestFailedInvocationRecordsError(t *testing.T) {
 
 func TestWaitRetiresWaiterEntries(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 2})
+	q := newQueue(t, Config{InvokeBatch: perCall(inv.invoke), Workers: 2})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		id, err := q.Submit(ctx, fmt.Sprintf("o%d", i), "m", nil, nil)
@@ -125,9 +137,9 @@ func TestWaitRetiresWaiterEntries(t *testing.T) {
 }
 
 func TestInvalidHandlerOutputFailsRecord(t *testing.T) {
-	q := newQueue(t, Config{Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{InvokeBatch: perCall(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		return json.RawMessage("not-json"), nil
-	}})
+	})})
 	id, err := q.Submit(context.Background(), "o", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +158,7 @@ func TestRecordsSurviveFlushCycles(t *testing.T) {
 	t.Cleanup(db.Close)
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{
-		Invoke:        inv.invoke,
+		InvokeBatch:   perCall(inv.invoke),
 		Backing:       db,
 		FlushInterval: time.Millisecond,
 	})
@@ -186,7 +198,7 @@ func TestRecordsSurviveFlushCycles(t *testing.T) {
 
 func TestStatsCountersMatchSubmissions(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 4, Capacity: 64})
+	q := newQueue(t, Config{InvokeBatch: perCall(inv.invoke), Workers: 4, Capacity: 64})
 	const n = 32
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -215,7 +227,7 @@ func TestStatsCountersMatchSubmissions(t *testing.T) {
 
 func TestConcurrentSubmitAndWait(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 8, Capacity: 1024})
+	q := newQueue(t, Config{InvokeBatch: perCall(inv.invoke), Workers: 8, Capacity: 1024})
 	const n = 200
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -254,7 +266,7 @@ func TestNewRequiresInvoker(t *testing.T) {
 }
 
 func TestSubmitAfterCloseRejected(t *testing.T) {
-	q, err := New(Config{Invoke: (&echoInvoker{}).invoke})
+	q, err := New(Config{InvokeBatch: perCall((&echoInvoker{}).invoke)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +293,10 @@ func TestStatusTerminal(t *testing.T) {
 func TestRecordGCEvictsTerminalRecords(t *testing.T) {
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{
-		Invoke:     inv.invoke,
-		Workers:    2,
-		RecordTTL:  30 * time.Millisecond,
-		GCInterval: 5 * time.Millisecond,
+		InvokeBatch: perCall(inv.invoke),
+		Workers:     2,
+		RecordTTL:   30 * time.Millisecond,
+		GCInterval:  5 * time.Millisecond,
 	})
 	ctx := context.Background()
 	ids := make([]string, 5)
@@ -326,14 +338,14 @@ func TestRecordGCEvictsTerminalRecords(t *testing.T) {
 func TestRecordGCSparesNonTerminalRecords(t *testing.T) {
 	release := make(chan struct{})
 	q := newQueue(t, Config{
-		Invoke: func(ctx context.Context, _, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+		InvokeBatch: perCall(func(ctx context.Context, _, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 			select {
 			case <-release:
 				return json.RawMessage(`"done"`), nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-		},
+		}),
 		Workers:    1,
 		RecordTTL:  10 * time.Millisecond,
 		GCInterval: 5 * time.Millisecond,
@@ -376,7 +388,7 @@ func TestRecordGCEvictsFromBackingStore(t *testing.T) {
 	defer db.Close()
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{
-		Invoke:        inv.invoke,
+		InvokeBatch:   perCall(inv.invoke),
 		Workers:       1,
 		Backing:       db,
 		FlushInterval: 2 * time.Millisecond,
@@ -411,7 +423,7 @@ func TestRecordGCEvictsFromBackingStore(t *testing.T) {
 // forever (the pre-GC behaviour).
 func TestNoGCWithoutTTL(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 1})
+	q := newQueue(t, Config{InvokeBatch: perCall(inv.invoke), Workers: 1})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, "obj", "m", nil, nil)
 	if err != nil {
@@ -445,7 +457,7 @@ func (f *flakyInvoker) invoke(_ context.Context, _, _ string, _ json.RawMessage,
 func TestRetryPolicyRecoversTransientFailure(t *testing.T) {
 	inv := &flakyInvoker{failures: 2}
 	q := newQueue(t, Config{
-		Invoke: inv.invoke, Workers: 1,
+		InvokeBatch: perCall(inv.invoke), Workers: 1,
 		MaxRetries: 3, RetryBackoff: time.Millisecond,
 	})
 	ctx := context.Background()
@@ -478,7 +490,7 @@ func TestRetryPolicyRecoversTransientFailure(t *testing.T) {
 func TestRetryPolicyExhaustionFails(t *testing.T) {
 	inv := &flakyInvoker{failures: 100}
 	q := newQueue(t, Config{
-		Invoke: inv.invoke, Workers: 1,
+		InvokeBatch: perCall(inv.invoke), Workers: 1,
 		MaxRetries: 2, RetryBackoff: time.Millisecond,
 	})
 	ctx := context.Background()
@@ -504,7 +516,7 @@ func TestRetryPolicyExhaustionFails(t *testing.T) {
 
 func TestNoRetriesByDefault(t *testing.T) {
 	inv := &flakyInvoker{failures: 1}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 1})
+	q := newQueue(t, Config{InvokeBatch: perCall(inv.invoke), Workers: 1})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, "obj", "m", nil, nil)
 	if err != nil {
@@ -525,20 +537,64 @@ func TestNoRetriesByDefault(t *testing.T) {
 	}
 }
 
+// TestLoneTaskRetriesThroughBatchInvoker: a lone task and its retry
+// both run as groups of one through the batch invoker, and neither
+// counts as coalesced.
+func TestLoneTaskRetriesThroughBatchInvoker(t *testing.T) {
+	inv := &flakyInvoker{failures: 1}
+	var groups atomic.Int64
+	q := newQueue(t, Config{
+		InvokeBatch: func(ctx context.Context, objectID string, calls []Call) []CallResult {
+			groups.Add(1)
+			return perCall(inv.invoke)(ctx, objectID, calls)
+		},
+		Workers: 1, MaxRetries: 1, RetryBackoff: time.Millisecond,
+	})
+	ctx := context.Background()
+	id, err := q.Submit(ctx, "obj", "m", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := q.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Status != StatusCompleted {
+		t.Fatalf("status = %s (%s), want completed after one retry", rec.Status, rec.Error)
+	}
+	if got := groups.Load(); got != 2 {
+		t.Fatalf("batch invoker ran %d times, want 2 (first run + 1 retry)", got)
+	}
+	if st := q.Stats(); st.Retried != 1 || st.Coalesced != 0 {
+		t.Fatalf("retried/coalesced = %d/%d, want 1/0", st.Retried, st.Coalesced)
+	}
+}
+
 // --- Batched drain and quota tests -----------------------------------
 
-// blockingQueue builds a single-worker, single-shard queue whose
-// handler parks on release; started signals the first execution.
+// blockingQueue builds a single-worker, single-shard queue whose first
+// execution parks on release (started signals it) and never reaches
+// the test's batch invoker. Later groups go to cfg.InvokeBatch when
+// set, and otherwise park on release too.
 func blockingQueue(t *testing.T, cfg Config) (q *Queue, started, release chan struct{}) {
 	t.Helper()
 	started = make(chan struct{})
 	release = make(chan struct{})
 	var once sync.Once
 	cfg.Workers, cfg.Shards = 1, 1
-	cfg.Invoke = func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
-		once.Do(func() { close(started) })
+	next := cfg.InvokeBatch
+	cfg.InvokeBatch = func(ctx context.Context, objectID string, calls []Call) []CallResult {
+		first := false
+		once.Do(func() { first = true; close(started) })
+		if !first && next != nil {
+			return next(ctx, objectID, calls)
+		}
 		<-release
-		return json.RawMessage(`"ok"`), nil
+		out := make([]CallResult, len(calls))
+		for i := range out {
+			out[i].Output = json.RawMessage(`"ok"`)
+		}
+		return out
 	}
 	return newQueue(t, cfg), started, release
 }
@@ -667,8 +723,11 @@ func TestBatchInvokerPanicFailsGroupOnly(t *testing.T) {
 	cfg := Config{
 		Capacity:   32,
 		DrainBatch: 8,
-		InvokeBatch: func(context.Context, string, []Call) []CallResult {
-			panic("broken batch executor")
+		InvokeBatch: func(_ context.Context, objectID string, calls []Call) []CallResult {
+			if objectID == "hot" {
+				panic("broken batch executor")
+			}
+			return perCall((&echoInvoker{}).invoke)(context.Background(), objectID, calls)
 		},
 	}
 	q, started, release := blockingQueue(t, cfg)
@@ -699,8 +758,7 @@ func TestBatchInvokerPanicFailsGroupOnly(t *testing.T) {
 				t.Fatalf("failed record error = %q", rec.Error)
 			}
 		case StatusCompleted:
-			// A task drained alone (singleton groups skip the batch
-			// invoker) — fine.
+			// Accepted, though this invoker fails every "hot" group.
 		default:
 			t.Fatalf("record = %+v", rec)
 		}
@@ -801,7 +859,7 @@ func TestTerminalMetricsConsistentAcrossExitPaths(t *testing.T) {
 // would silently never fire, so construction must fail.
 func TestNewRejectsQuotasWithoutClassOf(t *testing.T) {
 	_, err := New(Config{
-		Invoke:      (&echoInvoker{}).invoke,
+		InvokeBatch: perCall((&echoInvoker{}).invoke),
 		ClassQuotas: map[string]int{"C": 1},
 	})
 	if err == nil || !strings.Contains(err.Error(), "ClassOf") {

@@ -15,12 +15,12 @@ import (
 // invocation and verifies the record turns failed while the worker
 // keeps draining later submissions.
 func TestHandlerPanicMarksFailedAndPoolSurvives(t *testing.T) {
-	q := newQueue(t, Config{Workers: 1, Invoke: func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, InvokeBatch: perCall(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		if objectID == "bomb" {
 			panic("kaboom")
 		}
 		return json.RawMessage(`"ok"`), nil
-	}})
+	})})
 	ctx := context.Background()
 	bombID, err := q.Submit(ctx, "bomb", "m", nil, nil)
 	if err != nil {
@@ -51,10 +51,10 @@ func TestHandlerPanicMarksFailedAndPoolSurvives(t *testing.T) {
 // while the single worker is blocked and expects ErrQueueFull.
 func TestQueueOverflowReturnsBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	q := newQueue(t, Config{Workers: 1, Shards: 1, Capacity: 4, Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, Shards: 1, Capacity: 4, InvokeBatch: perCall(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		<-release
 		return nil, nil
-	}})
+	})})
 	defer close(release)
 	ctx := context.Background()
 	// One task occupies the worker; Capacity more fill the shard. The
@@ -91,7 +91,7 @@ func TestQueuedInvocationObservesCancellation(t *testing.T) {
 	// soon as the pull is recorded — possibly while an earlier task of
 	// the same pull is still executing — so the map needs a lock even
 	// with a single worker.
-	q := newQueue(t, Config{Workers: 1, Shards: 1, Capacity: 8, Invoke: func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, Shards: 1, Capacity: 8, InvokeBatch: perCall(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		ranMu.Lock()
 		ran[objectID] = true
 		ranMu.Unlock()
@@ -100,7 +100,7 @@ func TestQueuedInvocationObservesCancellation(t *testing.T) {
 		}
 		<-release
 		return nil, nil
-	}})
+	})})
 	ctx := context.Background()
 	if _, err := q.Submit(ctx, "blocker", "m", nil, nil); err != nil {
 		t.Fatal(err)
@@ -132,11 +132,11 @@ func TestQueuedInvocationObservesCancellation(t *testing.T) {
 // handler sees its submitter's cancellation through the task context.
 func TestInFlightInvocationObservesCancellation(t *testing.T) {
 	started := make(chan struct{})
-	q := newQueue(t, Config{Workers: 1, Invoke: func(ctx context.Context, _, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, InvokeBatch: perCall(func(ctx context.Context, _, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	}})
+	})})
 	cctx, cancel := context.WithCancel(context.Background())
 	id, err := q.Submit(cctx, "o", "m", nil, nil)
 	if err != nil {
@@ -157,10 +157,10 @@ func TestInFlightInvocationObservesCancellation(t *testing.T) {
 // the queue, and verifies every accepted invocation reached a terminal
 // record — none lost.
 func TestCloseDrainsAcceptedRecords(t *testing.T) {
-	q, err := New(Config{Workers: 2, Capacity: 64, Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q, err := New(Config{Workers: 2, Capacity: 64, InvokeBatch: perCall(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		time.Sleep(2 * time.Millisecond)
 		return json.RawMessage(`"done"`), nil
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +186,10 @@ func TestCloseDrainsAcceptedRecords(t *testing.T) {
 // timeout while the invocation is still parked.
 func TestWaitHonorsContextDeadline(t *testing.T) {
 	release := make(chan struct{})
-	q := newQueue(t, Config{Workers: 1, Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, InvokeBatch: perCall(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		<-release
 		return nil, nil
-	}})
+	})})
 	defer close(release)
 	id, err := q.Submit(context.Background(), "o", "m", nil, nil)
 	if err != nil {

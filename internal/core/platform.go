@@ -490,8 +490,9 @@ func New(cfg Config) (*Platform, error) {
 		closeBacking()
 		return nil, fmt.Errorf("core: event bus: %w", err)
 	}
-	// The async queue drains through the synchronous Invoke path and
-	// persists its invocation records in the shared document store.
+	// The async queue drains every task through the group-commit
+	// InvokeBatch path (a lone task is a group of one) and persists its
+	// invocation records in the shared document store.
 	// Terminal records publish InvocationCompleted/InvocationFailed
 	// events, and the queue's Close drains the bus so pending webhook
 	// deliveries flush before teardown.
@@ -503,7 +504,6 @@ func New(cfg Config) (*Platform, error) {
 		requeue = requeueable
 	}
 	p.queue, err = asyncq.New(asyncq.Config{
-		Invoke:       p.Invoke,
 		InvokeBatch:  p.invokeCoalesced,
 		DrainBatch:   cfg.AsyncDrainBatch,
 		Workers:      cfg.AsyncWorkers,
@@ -1154,7 +1154,7 @@ func (p *Platform) Invoke(ctx context.Context, objectID, member string, payload 
 	}
 	if p.tracer != nil && trace.FromContext(ctx) == nil {
 		// Library callers (benches, embedded use) get a root span here;
-		// gateway and async-drain callers arrive with one already.
+		// gateway callers arrive with one already.
 		sp := p.tracer.Root("invoke", "")
 		sp.SetAttr("object", objectID)
 		sp.SetAttr("fn", member)

@@ -70,8 +70,8 @@ type writerCall struct {
 func noCancel() {}
 
 // InvokeBatch executes a group of method calls on one object in a
-// single commit window — the path the async queue's batched drain
-// dispatches coalesced same-object invocations through. Instead of
+// single commit window — the path the async queue's drain dispatches
+// every same-object group through, a lone task included. Instead of
 // paying one load→invoke→commit window (and one simulated DB round
 // trip) per call, the group pays one: the window takes the object's
 // concurrency protection once, loads its state once, runs the handlers

@@ -425,6 +425,9 @@ type Bus struct {
 	shards []*busShard
 	seq    atomic.Uint64
 
+	// Metric handles, resolved once in New.
+	emitted, delivered, dropped, retried, cycleDropped, logFailed *metrics.Counter
+
 	// killCtx is cancelled by Kill so backoff sleeps and in-flight
 	// webhook requests abort instead of delaying the simulated crash.
 	killCtx    context.Context
@@ -482,15 +485,22 @@ func New(cfg Config) (*Bus, error) {
 		return nil, fmt.Errorf("trigger: unknown overflow policy %q (want %s or %s)",
 			cfg.Overflow, OverflowDrop, OverflowBlock)
 	}
+	m := cfg.Metrics
 	b := &Bus{
-		cfg:       cfg,
-		shards:    make([]*busShard, cfg.Shards),
-		subs:      make(map[string]Subscription),
-		classSubs: make(map[string][]Subscription),
-		streams:   make(map[string]map[*Stream]struct{}),
-		delState:  make(map[string]*consumerState),
-		subStats:  make(map[string]*subCounters),
-		rnd:       rand.New(rand.NewSource(cfg.JitterSeed)),
+		cfg:          cfg,
+		shards:       make([]*busShard, cfg.Shards),
+		emitted:      m.Counter("trigger.emitted"),
+		delivered:    m.Counter("trigger.delivered"),
+		dropped:      m.Counter("trigger.dropped"),
+		retried:      m.Counter("trigger.retried"),
+		cycleDropped: m.Counter("trigger.cycle_dropped"),
+		logFailed:    m.Counter("trigger.log_failed"),
+		subs:         make(map[string]Subscription),
+		classSubs:    make(map[string][]Subscription),
+		streams:      make(map[string]map[*Stream]struct{}),
+		delState:     make(map[string]*consumerState),
+		subStats:     make(map[string]*subCounters),
+		rnd:          rand.New(rand.NewSource(cfg.JitterSeed)),
 	}
 	b.killCtx, b.killCancel = context.WithCancel(context.Background())
 	b.delCond = sync.NewCond(&b.delMu)
@@ -685,72 +695,43 @@ func (b *Bus) Stream(object string, buf int) *Stream {
 	return s
 }
 
-// Publish routes one event. It assigns Seq and Time, appends to the
-// durable log (stamping Offset) when one is configured, counts the
-// emission, and enqueues onto the object's shard under the configured
-// overflow policy. Publishing on a closed bus discards the event.
+// Publish routes one event: a batch of one (see PublishBatch).
+// Publishing on a closed bus discards the event.
 func (b *Bus) Publish(ev Event) {
-	m := b.cfg.Metrics
-	ev.Seq = b.seq.Add(1)
-	if ev.Time.IsZero() {
-		ev.Time = b.cfg.Clock.Now()
-	}
-	m.Counter("trigger.emitted").Inc()
-	b.pubMu.RLock()
-	defer b.pubMu.RUnlock()
-	if b.closed {
-		m.Counter("trigger.dropped").Inc()
-		return
-	}
-	if b.cfg.Log != nil {
-		// Durability before dispatch: the event is in the log before
-		// any consumer can observe it, so an acknowledged append can
-		// never be lost to a crash. A failed append degrades to the
-		// fire-and-forget path (Offset zero) rather than losing the
-		// dispatch too.
-		asp := b.cfg.Tracer.Attach(ev.Trace, "eventlog.append")
-		_, err := b.cfg.Log.Append(b.killCtx, ev.Object, func(off int64) (json.RawMessage, error) {
-			ev.Offset = off
-			return json.Marshal(ev)
-		})
-		if err != nil {
-			ev.Offset = 0
-			m.Counter("trigger.log_failed").Inc()
-			asp.Error(err)
-		}
-		asp.End()
-	}
-	b.enqueue(ev)
+	evs := [1]Event{ev}
+	b.PublishBatch(evs[:])
 }
 
-// PublishBatch routes a group of events emitted by one object's
-// group-committed invocation batch: all of them are appended to the
-// log in a single backing write (the commit itself was one write, its
-// events should not cost n), then enqueued individually. All events
-// must carry the same Object.
+// PublishBatch routes a group of events emitted by one object — a
+// group-committed invocation batch, or a single event. It assigns each
+// event's Seq and Time, counts the emission, appends them all to the
+// durable log in a single backing write when one is configured (the
+// commit itself was one write, its events should not cost n), stamping
+// each Offset, then enqueues each onto the object's shard under the
+// configured overflow policy. All events must carry the same Object.
 func (b *Bus) PublishBatch(evs []Event) {
 	if len(evs) == 0 {
 		return
 	}
-	if len(evs) == 1 {
-		b.Publish(evs[0])
-		return
-	}
-	m := b.cfg.Metrics
 	for i := range evs {
 		evs[i].Seq = b.seq.Add(1)
 		if evs[i].Time.IsZero() {
 			evs[i].Time = b.cfg.Clock.Now()
 		}
 	}
-	m.Counter("trigger.emitted").Add(int64(len(evs)))
+	b.emitted.Add(int64(len(evs)))
 	b.pubMu.RLock()
 	defer b.pubMu.RUnlock()
 	if b.closed {
-		m.Counter("trigger.dropped").Add(int64(len(evs)))
+		b.dropped.Add(int64(len(evs)))
 		return
 	}
 	if b.cfg.Log != nil {
+		// Durability before dispatch: the events are in the log before
+		// any consumer can observe them, so an acknowledged append can
+		// never be lost to a crash. A failed append degrades to the
+		// fire-and-forget path (Offset zero) rather than losing the
+		// dispatch too.
 		asp := b.cfg.Tracer.Attach(batchTrace(evs), "eventlog.append")
 		asp.SetInt("events", len(evs))
 		_, err := b.cfg.Log.AppendBatch(b.killCtx, evs[0].Object, len(evs), func(i int, off int64) (json.RawMessage, error) {
@@ -761,7 +742,7 @@ func (b *Bus) PublishBatch(evs []Event) {
 			for i := range evs {
 				evs[i].Offset = 0
 			}
-			m.Counter("trigger.log_failed").Inc()
+			b.logFailed.Add(int64(len(evs)))
 			asp.Error(err)
 		}
 		asp.End()
@@ -798,7 +779,7 @@ func (b *Bus) enqueue(ev Event) {
 	case sh.ch <- ev:
 	default:
 		b.donePending()
-		b.cfg.Metrics.Counter("trigger.dropped").Inc()
+		b.dropped.Inc()
 	}
 }
 
@@ -923,7 +904,7 @@ func (b *Bus) notify(sub Subscription, object string, offset int64) {
 		// after this point redelivers the event instead of forgetting
 		// the consumer ever existed.
 		if err := b.cfg.Log.SetCursor(b.killCtx, sub.ID, object, offset); err != nil {
-			b.cfg.Metrics.Counter("trigger.dropped").Inc()
+			b.dropped.Inc()
 			if c := b.subCountersFor(sub.ID); c != nil {
 				c.dropped.Add(1)
 			}
@@ -958,18 +939,18 @@ func (b *Bus) enqueueDirect(sub Subscription, ev Event) {
 	b.delMu.Lock()
 	defer b.delMu.Unlock()
 	if b.delClosed {
-		b.cfg.Metrics.Counter("trigger.dropped").Inc()
+		b.dropped.Inc()
 		return
 	}
 	b.delQueue = append(b.delQueue, delItem{run: func() {
 		c := b.subCountersFor(sub.ID)
 		if b.deliverWebhook(sub.Webhook, ev, c) {
-			b.cfg.Metrics.Counter("trigger.delivered").Inc()
+			b.delivered.Inc()
 			if c != nil {
 				c.delivered.Add(1)
 			}
 		} else {
-			b.cfg.Metrics.Counter("trigger.dropped").Inc()
+			b.dropped.Inc()
 			if c != nil {
 				c.dropped.Add(1)
 			}
@@ -1025,7 +1006,7 @@ func (b *Bus) runConsumer(st *consumerState) {
 	b.delMu.Lock()
 	sub, object := st.sub, st.object
 	b.delMu.Unlock()
-	log, m := b.cfg.Log, b.cfg.Metrics
+	log := b.cfg.Log
 	c := b.subCountersFor(sub.ID)
 	cursor, ok := log.Cursor(sub.ID, object)
 	if !ok {
@@ -1041,7 +1022,7 @@ func (b *Bus) runConsumer(st *consumerState) {
 			if berr != nil || floor <= cursor {
 				return
 			}
-			m.Counter("trigger.dropped").Add(floor - cursor)
+			b.dropped.Add(floor - cursor)
 			if c != nil {
 				c.dropped.Add(floor - cursor)
 			}
@@ -1064,12 +1045,12 @@ func (b *Bus) runConsumer(st *consumerState) {
 				var delivered bool
 				delivered, advance = b.deliverDurable(sub, ev, c)
 				if delivered {
-					m.Counter("trigger.delivered").Inc()
+					b.delivered.Inc()
 					if c != nil {
 						c.delivered.Add(1)
 					}
 				} else if advance {
-					m.Counter("trigger.dropped").Inc()
+					b.dropped.Inc()
 					if c != nil {
 						c.dropped.Add(1)
 					}
@@ -1126,12 +1107,11 @@ const (
 // deliverMethod routes an event to its object-method sink through the
 // async queue, enforcing the chain depth limit.
 func (b *Bus) deliverMethod(sub Subscription, ev Event) methodOutcome {
-	m := b.cfg.Metrics
 	if ev.Depth >= b.cfg.MaxChainDepth {
 		// The chain has used its depth budget: terminate instead of
 		// looping (a trigger targeting its own emitting class would
 		// otherwise self-sustain forever).
-		m.Counter("trigger.cycle_dropped").Inc()
+		b.cycleDropped.Inc()
 		return methodDropped
 	}
 	if b.cfg.InvokeAsync == nil {
@@ -1161,16 +1141,15 @@ func (b *Bus) deliverMethod(sub Subscription, ev Event) methodOutcome {
 // deliverMethodCounted is the log-less dispatch path: one attempt,
 // failures counted dropped.
 func (b *Bus) deliverMethodCounted(sub Subscription, ev Event) {
-	m := b.cfg.Metrics
 	c := b.subCountersFor(sub.ID)
 	if b.deliverMethod(sub, ev) == methodDelivered {
-		m.Counter("trigger.delivered").Inc()
+		b.delivered.Inc()
 		if c != nil {
 			c.delivered.Add(1)
 		}
 		return
 	}
-	m.Counter("trigger.dropped").Inc()
+	b.dropped.Inc()
 	if c != nil {
 		c.dropped.Add(1)
 	}
@@ -1180,7 +1159,6 @@ func (b *Bus) deliverMethodCounted(sub Subscription, ev Event) {
 // backoff up to WebhookMaxRetries, and reports success. It runs on the
 // delivery pool, never a dispatch loop.
 func (b *Bus) deliverWebhook(url string, ev Event, c *subCounters) bool {
-	m := b.cfg.Metrics
 	wsp := b.cfg.Tracer.Attach(ev.Trace, "webhook.delivery")
 	wsp.SetAttr("url", url)
 	payload, err := json.Marshal(ev)
@@ -1199,7 +1177,7 @@ func (b *Bus) deliverWebhook(url string, ev Event, c *subCounters) bool {
 				return false
 			}
 			backoff *= 2
-			m.Counter("trigger.retried").Inc()
+			b.retried.Inc()
 			if c != nil {
 				c.retried.Add(1)
 			}
@@ -1238,18 +1216,17 @@ func (b *Bus) postWebhook(url string, ev Event, payload []byte) bool {
 
 // deliverStreams copies the event to every live tail of its object.
 func (b *Bus) deliverStreams(ev Event) {
-	m := b.cfg.Metrics
 	b.streamMu.Lock()
 	defer b.streamMu.Unlock()
 	for s := range b.streams[ev.Object] {
 		select {
 		case s.ch <- ev:
-			m.Counter("trigger.delivered").Inc()
+			b.delivered.Inc()
 		default:
 			// Slow consumer: losing its event beats stalling dispatch
 			// for every other sink. With a log the loss is cosmetic —
 			// the gateway replays the gap from the stored entries.
-			m.Counter("trigger.dropped").Inc()
+			b.dropped.Inc()
 		}
 	}
 }
@@ -1314,14 +1291,13 @@ type Stats struct {
 
 // Stats snapshots the bus counters.
 func (b *Bus) Stats() Stats {
-	m := b.cfg.Metrics
 	st := Stats{
-		Emitted:      m.Counter("trigger.emitted").Value(),
-		Delivered:    m.Counter("trigger.delivered").Value(),
-		Dropped:      m.Counter("trigger.dropped").Value(),
-		Retried:      m.Counter("trigger.retried").Value(),
-		CycleDropped: m.Counter("trigger.cycle_dropped").Value(),
-		LogFailed:    m.Counter("trigger.log_failed").Value(),
+		Emitted:      b.emitted.Value(),
+		Delivered:    b.delivered.Value(),
+		Dropped:      b.dropped.Value(),
+		Retried:      b.retried.Value(),
+		CycleDropped: b.cycleDropped.Value(),
+		LogFailed:    b.logFailed.Value(),
 	}
 	b.subStatsMu.Lock()
 	if len(b.subStats) > 0 {

@@ -575,3 +575,33 @@ func TestNeedsEventsWithDurableLog(t *testing.T) {
 		t.Fatal("bus with durable log must always need events")
 	}
 }
+
+// TestLogFailedCountsEvents: a failed durable append of a batch counts
+// every event of the batch in LogFailed, and the events still dispatch
+// best-effort with Offset zero.
+func TestLogFailedCountsEvents(t *testing.T) {
+	st := kvstore.Open(kvstore.Config{})
+	t.Cleanup(func() { st.Close() })
+	l, err := eventlog.New(eventlog.Config{Backing: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	b := newBus(t, Config{Log: l})
+	s := b.Stream("o", 8)
+	st.InjectWriteFailures(1, fmt.Errorf("injected"))
+	b.PublishBatch([]Event{
+		{Type: StateChanged, Class: "A", Object: "o"},
+		{Type: StateChanged, Class: "A", Object: "o"},
+		{Type: StateChanged, Class: "A", Object: "o"},
+	})
+	b.Drain()
+	if got := b.Stats().LogFailed; got != 3 {
+		t.Fatalf("LogFailed = %d after one failed 3-event append, want 3", got)
+	}
+	for i := 0; i < 3; i++ {
+		if ev := <-s.Events(); ev.Offset != 0 {
+			t.Fatalf("event %d Offset = %d after a failed append, want 0", i, ev.Offset)
+		}
+	}
+}

@@ -61,9 +61,10 @@
 // The async workers drain in batches: each pull takes up to
 // Config.AsyncDrainBatch queued invocations (default 16; 1 restores
 // per-task draining), persists the pull's record transitions in
-// batched table writes, and groups the pull by target object. A group
-// of two or more same-object method calls executes through the
-// runtime's group-commit InvokeBatch window: one state load, the
+// batched table writes, and groups the pull by target object. Every
+// group executes through the runtime's group-commit InvokeBatch window
+// (a lone invocation, and each retry, is a group of one), so a group
+// of same-object method calls shares one window: one state load, the
 // handlers run sequentially against the evolving in-memory view (each
 // call observes its predecessors' deltas, exactly as if they had run
 // back-to-back), and the merged delta commits in one simulated DB
@@ -75,9 +76,9 @@
 // merged commit, and `readonly` calls bypass the window entirely on
 // the lock-free fast path. Dataflow members fall back to individual
 // invocation. Stats().Async.BatchedDrains counts multi-task pulls and
-// Stats().Async.Coalesced counts invocations that shared a group
-// window; Platform.InvokeBatch exposes the same group-commit path
-// synchronously.
+// Stats().Async.Coalesced counts invocations that shared a window
+// with at least one other; Platform.InvokeBatch exposes the same
+// group-commit path synchronously.
 //
 // Two queue-shaping controls ride along. Config.AsyncClassQuotas caps
 // the queued invocations per class — an over-quota submission fails

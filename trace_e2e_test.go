@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -242,6 +243,102 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	} {
 		if !strings.Contains(string(mbody), want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestCoalescedGroupTraceSpans parks the only async worker, queues
+// three calls on one object so they drain as one group, and asserts
+// every call's trace shows its own drain and handler spans while the
+// group's shared window — ownership admission, state load, commit —
+// lands in the first call's trace instead of in no trace at all.
+func TestCoalescedGroupTraceSpans(t *testing.T) {
+	ctx := context.Background()
+	noServe := false
+	p, err := New(Config{
+		Workers:           2,
+		AsyncWorkers:      1,
+		OwnershipLeaseTTL: 2 * time.Second,
+		EnableTracing:     true,
+		TraceSampleRate:   1,
+		ServeObjectStore:  &noServe,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	p.Images().Register("img/obs-hold", HandlerFunc(func(context.Context, Task) (Result, error) {
+		once.Do(func() { close(started) })
+		<-release
+		return Result{}, nil
+	}))
+	p.Images().Register("img/obs-set", HandlerFunc(func(_ context.Context, task Task) (Result, error) {
+		return Result{Output: task.Payload, State: map[string]json.RawMessage{"v": task.Payload}}, nil
+	}))
+	pkg := "classes:\n  - name: Obs\n    keySpecs:\n      - name: v\n" +
+		"    functions:\n      - name: set\n        image: img/obs-set\n" +
+		"      - name: hold\n        image: img/obs-hold\n"
+	if _, err := p.DeployYAML(ctx, []byte(pkg)); err != nil {
+		t.Fatal(err)
+	}
+	gate, err := p.CreateObject(ctx, "Obs", "gate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := p.CreateObject(ctx, "Obs", "hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := p.InvokeAsync(ctx, gate, "hold", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	ids := make([]string, 3)
+	for i := range ids {
+		if ids[i], err = p.InvokeAsync(ctx, hot, "set", json.RawMessage(fmt.Sprint(i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	for _, id := range ids {
+		if rec, err := p.WaitInvocation(ctx, id); err != nil || rec.Status != InvocationCompleted {
+			t.Fatalf("invocation %s = %+v (%v)", id, rec, err)
+		}
+	}
+	if got := p.Stats().Async.Coalesced; got != int64(len(ids)) {
+		t.Fatalf("Coalesced = %d, want %d: the calls did not drain as one group", got, len(ids))
+	}
+
+	for i, id := range ids {
+		want := []string{"queue.drain", "handler"}
+		if i == 0 {
+			want = append(want, "admission", "load", "commit")
+		}
+		var names map[string]int
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			view, _ := p.Tracer().ByInvocation(id)
+			names = make(map[string]int, len(view.Spans))
+			for _, sp := range view.Spans {
+				names[sp.Name]++
+			}
+			missing := false
+			for _, w := range want {
+				missing = missing || names[w] == 0
+			}
+			if !missing || time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		for _, w := range want {
+			if names[w] == 0 {
+				t.Errorf("call %d trace missing %q span (have %v)", i, w, names)
+			}
 		}
 	}
 }

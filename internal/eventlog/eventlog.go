@@ -19,6 +19,15 @@
 // RetentionTTL ages entries out on the background sweep, which rides
 // the platform's async GC cadence. Reading below the retained floor
 // fails with ErrOffsetCompacted (HTTP 410 at the gateway).
+//
+// # Encoding
+//
+// The log stores each payload's bytes exactly as the appender built
+// them. The trigger bus builds them with trigger.Event.AppendJSON,
+// whose output is byte for byte encoding/json's, and the bounds
+// document is json.Marshal(objMeta)'s bytes written with strconv. So
+// the stored documents are what encoding/json would have written, and
+// logs written while the bus used json.Marshal replay unchanged.
 package eventlog
 
 import (
@@ -30,6 +39,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
@@ -72,7 +82,9 @@ type Config struct {
 	// GCInterval paces the background sweep (TTL eviction plus backing
 	// cleanup of size-evicted entries). Defaults to RetentionTTL/4
 	// when a TTL is set, else 30s. The platform passes its async GC
-	// cadence so one interval paces every background reclaimer.
+	// cadence so one interval paces every background reclaimer. A
+	// sweep also starts early once size-cap evictions have queued
+	// sweepBacklog backing keys.
 	GCInterval time.Duration
 	// CursorFlushInterval is the cursor table's write-behind flush
 	// period (see memtable.Config.FlushInterval).
@@ -106,6 +118,41 @@ type objMeta struct {
 	First int64 `json:"first"`
 	// Next is the offset the next append receives.
 	Next int64 `json:"next"`
+}
+
+// sweepBacklog is how many size-evicted entries may wait in the
+// backing store before the sweep runs early. Evicted entries stay
+// there until a sweep deletes them, and the store's map keeps the
+// capacity of its largest backlog; on the interval alone that backlog,
+// and so the heap, would grow with the append rate. 4096 entries of
+// ~100 B each stay under half a megabyte.
+const sweepBacklog = 4096
+
+// appendMeta appends the bounds document {"first":…,"next":…} to dst:
+// json.Marshal(objMeta{first, next})'s bytes, without reflection.
+func appendMeta(dst []byte, first, next int64) []byte {
+	dst = strconv.AppendInt(append(dst, `{"first":`...), first, 10)
+	dst = strconv.AppendInt(append(dst, `,"next":`...), next, 10)
+	return append(dst, '}')
+}
+
+// appendScratch is one AppendBatch's backing-write staging: the batch
+// map and the bounds document's bytes. It is pooled, not kept per
+// object, so a log of many objects holds no idle staging.
+type appendScratch struct {
+	batch map[string]json.RawMessage
+	meta  []byte
+}
+
+var appendScratches = sync.Pool{New: func() any {
+	return &appendScratch{batch: make(map[string]json.RawMessage, 2), meta: make([]byte, 0, 48)}
+}}
+
+// release clears the scratch and returns it to the pool. The cleared
+// map keeps its buckets for the next append.
+func (sc *appendScratch) release() {
+	clear(sc.batch)
+	appendScratches.Put(sc)
 }
 
 // objectLog is one object's in-memory log state. Entries are
@@ -159,6 +206,11 @@ type Log struct {
 	gcDone    chan struct{}
 	closeOnce sync.Once
 
+	// sweepNow wakes the sweep early; backlog counts the backing keys
+	// size-cap evictions have queued since the last sweep began.
+	sweepNow chan struct{}
+	backlog  atomic.Int64
+
 	statsMu   sync.Mutex
 	appended  int64
 	replayed  int64
@@ -182,12 +234,13 @@ func New(cfg Config) (*Log, error) {
 		return nil, fmt.Errorf("eventlog: cursor table: %w", err)
 	}
 	l := &Log{
-		cfg:     cfg,
-		objs:    make(map[string]*objectLog),
-		curs:    curs,
-		cursors: make(map[string]map[string]int64),
-		gcStop:  make(chan struct{}),
-		gcDone:  make(chan struct{}),
+		cfg:      cfg,
+		objs:     make(map[string]*objectLog),
+		curs:     curs,
+		cursors:  make(map[string]map[string]int64),
+		gcStop:   make(chan struct{}),
+		gcDone:   make(chan struct{}),
+		sweepNow: make(chan struct{}, 1),
 	}
 	go l.gcLoop()
 	return l, nil
@@ -376,47 +429,54 @@ func (l *Log) AppendBatch(ctx context.Context, object string, n int, build func(
 	}
 	first := ol.next
 	now := l.cfg.Clock.Now()
-	fresh := make([]Entry, n)
-	var batch map[string]json.RawMessage
+	var sc *appendScratch
 	if l.cfg.Backing != nil {
-		batch = make(map[string]json.RawMessage, n+1)
+		sc = appendScratches.Get().(*appendScratch)
+		defer sc.release()
 	}
+	// New entries go straight past ol.entries' length: until the
+	// commit below moves the length, readers (who copy) and a failed
+	// append never see them.
+	entries := ol.entries
 	for i := 0; i < n; i++ {
 		off := first + int64(i)
 		payload, err := build(i, off)
 		if err != nil {
 			return 0, err
 		}
-		fresh[i] = Entry{Offset: off, Time: now, Payload: payload}
-		if batch != nil {
-			batch[entryKey(object, off)] = payload
+		entries = append(entries, Entry{Offset: off, Time: now, Payload: payload})
+		if sc != nil {
+			sc.batch[entryKey(object, off)] = payload
 		}
 	}
-	entries := append(ol.entries, fresh...)
 	var evicted []Entry
 	if max := l.cfg.MaxPerObject; max > 0 && len(entries) > max {
 		evicted = entries[:len(entries)-max]
 		entries = entries[len(entries)-max:]
 	}
-	if batch != nil {
+	if sc != nil {
 		floor := ol.next + int64(n)
 		if len(entries) > 0 {
 			floor = entries[0].Offset
 		}
-		meta, err := json.Marshal(objMeta{First: floor, Next: first + int64(n)})
-		if err != nil {
-			return 0, err
-		}
-		batch[metaKey(object)] = meta
+		sc.meta = appendMeta(sc.meta[:0], floor, first+int64(n))
+		sc.batch[metaKey(object)] = sc.meta
 		// Durability before dispatch: the batch (entries plus bounds)
 		// lands before the in-memory log advances, so a failed write
 		// leaves no hole and an appended event can never be lost to a
-		// crash.
-		if err := l.cfg.Backing.BatchPut(ctx, batch); err != nil {
+		// crash. The store copies every value, so the scratch is free
+		// for reuse once BatchPut returns.
+		if err := l.cfg.Backing.BatchPut(ctx, sc.batch); err != nil {
 			return 0, fmt.Errorf("eventlog: appending to %s: %w", object, err)
 		}
 		for _, e := range evicted {
 			ol.garbage = append(ol.garbage, entryKey(object, e.Offset))
+		}
+		if len(evicted) > 0 && l.backlog.Add(int64(len(evicted))) >= sweepBacklog {
+			select {
+			case l.sweepNow <- struct{}{}:
+			default:
+			}
 		}
 	}
 	ol.entries = entries
@@ -596,6 +656,7 @@ func (l *Log) gcLoop() {
 		case <-l.gcStop:
 			return
 		case <-l.cfg.Clock.After(l.cfg.GCInterval):
+		case <-l.sweepNow:
 		}
 		l.Compact(context.Background())
 	}
@@ -606,6 +667,7 @@ func (l *Log) gcLoop() {
 // re-persisted, and the backing keys of evicted entries (including
 // size-cap evictions queued by Append) are deleted.
 func (l *Log) Compact(ctx context.Context) {
+	l.backlog.Store(0)
 	l.mu.Lock()
 	objects := make([]string, 0, len(l.objs))
 	for object := range l.objs {
@@ -642,7 +704,7 @@ func (l *Log) Compact(ctx context.Context) {
 		ol.garbage = nil
 		var meta json.RawMessage
 		if evicted > 0 && l.cfg.Backing != nil {
-			meta, _ = json.Marshal(objMeta{First: ol.floor(), Next: ol.next})
+			meta = appendMeta(nil, ol.floor(), ol.next)
 		}
 		ol.mu.Unlock()
 		if meta != nil {

@@ -119,6 +119,34 @@ func TestSizeCapEvictsOldestAndCompactsReads(t *testing.T) {
 	}
 }
 
+// TestEvictionBacklogSweepsEarly: once size-cap evictions have queued
+// sweepBacklog backing keys, the sweep runs without waiting for its
+// interval, so the store's backlog is bounded by count, not by the
+// append rate times the interval.
+func TestEvictionBacklogSweepsEarly(t *testing.T) {
+	st := testStore(t)
+	l := testLog(t, Config{Backing: st, MaxPerObject: 1, GCInterval: time.Hour})
+	ctx := context.Background()
+	payload := json.RawMessage(`{}`)
+	if _, err := l.AppendBatch(ctx, "obj", sweepBacklog+1, func(int, int64) (json.RawMessage, error) {
+		return payload, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		keys, err := st.List(ctx, "evlog/obj/")
+		if err != nil {
+			t.Fatalf("list: %v", err)
+		}
+		if len(keys) == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("backing still holds %d entry keys; the backlog never started a sweep", len(keys))
+		}
+	}
+}
+
 func TestTTLSweepEvicts(t *testing.T) {
 	clk := vclock.NewManual(time.Unix(1700000000, 0))
 	st := testStore(t)
@@ -288,5 +316,116 @@ func TestDropRemovesLogFromBacking(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Offset != 1 {
 		t.Fatalf("entries after drop+append = %+v, want one at offset 1", entries)
+	}
+}
+
+// TestBoundsDocumentMatchesMarshal: the stored bounds document is
+// exactly json.Marshal(objMeta)'s bytes, through appends, size-cap
+// eviction and the sweep, so logs written by either encoder recover.
+func TestBoundsDocumentMatchesMarshal(t *testing.T) {
+	for _, m := range []objMeta{{0, 0}, {1, 1}, {-3, 9}, {1 << 62, 1<<63 - 1}, {-1 << 63, 0}} {
+		want, _ := json.Marshal(m)
+		if got := appendMeta([]byte("x"), m.First, m.Next); string(got) != "x"+string(want) {
+			t.Fatalf("appendMeta(%d, %d) = %s, want x%s", m.First, m.Next, got, want)
+		}
+	}
+	st := testStore(t)
+	l := testLog(t, Config{Backing: st, MaxPerObject: 4, RetentionTTL: time.Hour})
+	ctx := context.Background()
+	check := func(first, next int64) {
+		t.Helper()
+		doc, err := st.Get(ctx, metaKey("obj"))
+		if err != nil {
+			t.Fatalf("meta: %v", err)
+		}
+		if want, _ := json.Marshal(objMeta{First: first, Next: next}); string(doc.Value) != string(want) {
+			t.Fatalf("meta = %s, want %s", doc.Value, want)
+		}
+	}
+	appendN(t, l, "obj", 3)
+	check(1, 4)
+	appendN(t, l, "obj", 7)
+	check(7, 11)
+}
+
+// TestFailedAppendChangesNothing: a failed backing write or a failed
+// build leaves the log as it was; the next append reuses the offsets
+// and its entries read back intact.
+func TestFailedAppendChangesNothing(t *testing.T) {
+	st := testStore(t)
+	l := testLog(t, Config{Backing: st})
+	ctx := context.Background()
+	appendN(t, l, "obj", 2)
+	st.InjectWriteFailures(1, errors.New("injected"))
+	if _, err := l.AppendBatch(ctx, "obj", 3, func(i int, off int64) (json.RawMessage, error) {
+		return json.RawMessage(`"lost"`), nil
+	}); err == nil {
+		t.Fatal("append over a failing store succeeded")
+	}
+	if _, err := l.AppendBatch(ctx, "obj", 3, func(i int, off int64) (json.RawMessage, error) {
+		if i == 1 {
+			return nil, errors.New("build failed")
+		}
+		return json.RawMessage(`"lost"`), nil
+	}); err == nil {
+		t.Fatal("append with a failing build succeeded")
+	}
+	if first, next, err := l.Bounds(ctx, "obj"); err != nil || first != 1 || next != 3 {
+		t.Fatalf("bounds after failed appends = [%d,%d) %v, want [1,3)", first, next, err)
+	}
+	appendN(t, l, "obj", 1)
+	entries, err := l.Read(ctx, "obj", 0, 0)
+	if err != nil || len(entries) != 3 {
+		t.Fatalf("read back %d entries, %v; want 3", len(entries), err)
+	}
+	for i, e := range entries {
+		if want := fmt.Sprintf(`{"offset":%d}`, i+1); e.Offset != int64(i+1) || string(e.Payload) != want {
+			t.Fatalf("entry %d = %d %s, want %d %s", i, e.Offset, e.Payload, i+1, want)
+		}
+	}
+}
+
+// BenchmarkAppendBatch measures one durable AppendBatch of n entries
+// against an in-memory backing store, at the default size cap's steady
+// state (every append evicts, and a sweep every 2048 entries keeps the
+// store's size fixed). It isolates the log's own cost: the
+// payload is prebuilt, as the trigger bus's encoder would hand it over.
+func BenchmarkAppendBatch(b *testing.B) {
+	payload := json.RawMessage(`{"seq":1,"offset":1,"type":"stateChanged","class":"Counter","object":"ctr-1","function":"bump","keys":["count"],"time":"2026-10-18T01:02:03.456789Z"}`)
+	for _, n := range []int{1, 16} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			st := kvstore.Open(kvstore.Config{})
+			defer st.Close()
+			l, err := New(Config{Backing: st})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			ctx := context.Background()
+			l.NoteCreated("ctr-1")
+			build := func(int, int64) (json.RawMessage, error) { return payload, nil }
+			for i := 0; i < 2048/n; i++ { // reach the size cap
+				if _, err := l.AppendBatch(ctx, "ctr-1", n, build); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				if _, err := l.AppendBatch(ctx, "ctr-1", n, build); err != nil {
+					b.Fatal(err)
+				}
+				if i%(2048/n) == 0 {
+					// Sweep the evicted entries out of the store, as the
+					// background sweep would, so its size (and the cost
+					// per append) does not grow with b.N. Every 2048
+					// entries stays below sweepBacklog, so no background
+					// sweep runs while the timer does.
+					b.StopTimer()
+					l.Compact(ctx)
+					b.StartTimer()
+				}
+			}
+		})
 	}
 }

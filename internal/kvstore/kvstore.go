@@ -441,7 +441,7 @@ func (s *Store) put(ctx context.Context, key string, value json.RawMessage) (Doc
 	if s.closed {
 		return Document{}, ErrClosed
 	}
-	doc := s.putLocked(key, value)
+	doc := s.putLocked(key, value, s.cfg.Clock.Now())
 	s.statsMu.Lock()
 	s.writeOps++
 	s.docsWritten++
@@ -449,14 +449,15 @@ func (s *Store) put(ctx context.Context, key string, value json.RawMessage) (Doc
 	return doc, nil
 }
 
-// putLocked inserts or updates a document. Caller holds mu.
-func (s *Store) putLocked(key string, value json.RawMessage) Document {
+// putLocked inserts or updates a document stamped updated. Caller
+// holds mu.
+func (s *Store) putLocked(key string, value json.RawMessage, updated time.Time) Document {
 	prev := s.docs[key]
 	doc := Document{
 		Key:     key,
 		Value:   append(json.RawMessage(nil), value...),
 		Version: prev.Version + 1,
-		Updated: s.cfg.Clock.Now(),
+		Updated: updated,
 	}
 	s.docs[key] = doc
 	return doc
@@ -487,7 +488,7 @@ func (s *Store) compareAndPut(ctx context.Context, key string, value json.RawMes
 		return Document{}, fmt.Errorf("%w: key %q at version %d, expected %d",
 			ErrVersionMismatch, key, cur.Version, expect)
 	}
-	doc := s.putLocked(key, value)
+	doc := s.putLocked(key, value, s.cfg.Clock.Now())
 	s.statsMu.Lock()
 	s.writeOps++
 	s.docsWritten++
@@ -498,6 +499,9 @@ func (s *Store) compareAndPut(ctx context.Context, key string, value json.RawMes
 // BatchPut stores all entries as one consolidated write operation.
 // This is the primitive Oparaca's memtable flusher uses: a batch of N
 // documents costs 1 + (N-1)*BatchDocCost capacity tokens instead of N.
+// Every document of one batch gets the same Updated instant. The store
+// copies each value, so the caller may reuse entries once BatchPut
+// returns.
 func (s *Store) BatchPut(ctx context.Context, entries map[string]json.RawMessage) error {
 	if len(entries) == 0 {
 		return nil
@@ -521,6 +525,9 @@ func (s *Store) batchPut(ctx context.Context, entries map[string]json.RawMessage
 	if s.closed {
 		return ErrClosed
 	}
+	// One clock read per batch: the batch is one atomic write, so its
+	// documents share one Updated instant.
+	now := s.cfg.Clock.Now()
 	if partial >= 0 {
 		// Torn batch: apply a deterministic (sorted) prefix, then fail.
 		// The caller's retry re-sends the whole batch; puts are
@@ -531,7 +538,7 @@ func (s *Store) batchPut(ctx context.Context, entries map[string]json.RawMessage
 		}
 		sort.Strings(keys)
 		for _, k := range keys[:partial] {
-			s.putLocked(k, entries[k])
+			s.putLocked(k, entries[k], now)
 		}
 		s.statsMu.Lock()
 		s.writeOps++
@@ -541,7 +548,7 @@ func (s *Store) batchPut(ctx context.Context, entries map[string]json.RawMessage
 			ErrInjectedTransient, partial, len(entries))
 	}
 	for k, v := range entries {
-		s.putLocked(k, v)
+		s.putLocked(k, v, now)
 	}
 	s.statsMu.Lock()
 	s.writeOps++

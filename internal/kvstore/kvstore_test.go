@@ -188,10 +188,17 @@ func TestBatchPut(t *testing.T) {
 	if err := s.BatchPut(ctx, entries); err != nil {
 		t.Fatal(err)
 	}
+	var updated time.Time
 	for k := range entries {
-		if _, err := s.Get(ctx, k); err != nil {
+		doc, err := s.Get(ctx, k)
+		if err != nil {
 			t.Fatalf("Get(%q) after batch: %v", k, err)
 		}
+		// One atomic batch, one instant.
+		if !updated.IsZero() && !doc.Updated.Equal(updated) {
+			t.Fatalf("Get(%q).Updated = %v, want the batch's one instant %v", k, doc.Updated, updated)
+		}
+		updated = doc.Updated
 	}
 	st := s.Stats()
 	if st.WriteOps != 1 {

@@ -194,7 +194,7 @@ func (t *Tracer) newSpanID() SpanID {
 	return id
 }
 
-// traceData accumulates one in-flight trace. It is pooled: finalize
+// traceData accumulates one in-flight trace. It is pooled: finalizeLocked
 // returns it (and every parked span) to the pools whether the trace is
 // kept or dropped.
 type traceData struct {
@@ -205,11 +205,11 @@ type traceData struct {
 
 	mu sync.Mutex
 	// open is the reference count holding the trace alive: open spans
-	// plus outstanding Links. The trace finalizes when it hits zero.
+	// plus outstanding Links. The trace finalizes when it hits zero
+	// (see unref).
 	open        int
-	done        bool
 	errored     bool
-	spans       []*Span // ended spans, parked until finalize
+	spans       []*Span // ended spans, parked until finalizeLocked
 	rootName    string
 	rootDur     time.Duration
 	invocations []string
@@ -287,18 +287,13 @@ func (t *Tracer) Root(name, traceparent string) *Span {
 	t.mu.Lock()
 	if td := t.active[tid]; td != nil {
 		// The trace is already live here: a second ingress of the same
-		// trace (forwarded hop) joins it rather than forking it.
-		t.mu.Unlock()
+		// trace (forwarded hop) joins it rather than forking it. The
+		// hold is taken under t.mu, where a live trace has open > 0.
 		td.mu.Lock()
-		if !td.done {
-			td.open++
-			td.mu.Unlock()
-			return t.getSpan(td, parent, name)
-		}
+		td.open++
 		td.mu.Unlock()
-		// Lost the race against finalize; fall through to a fresh trace.
-		tid = t.newTraceID()
-		t.mu.Lock()
+		t.mu.Unlock()
+		return t.getSpan(td, parent, name)
 	}
 	td := dataPool.Get().(*traceData)
 	td.tr = t
@@ -306,7 +301,6 @@ func (t *Tracer) Root(name, traceparent string) *Span {
 	td.start = t.now()
 	td.forced = forced
 	td.open = 1
-	td.done = false
 	td.errored = false
 	td.spans = td.spans[:0]
 	td.rootName = ""
@@ -333,18 +327,21 @@ func (t *Tracer) Attach(traceparent, name string) *Span {
 	if !ok {
 		return nil
 	}
+	// Both lookups and the hold on a live trace happen under t.mu,
+	// which a trace's last unref holds from its drop to zero until it
+	// has left active and its kept view is stored. So the trace is
+	// found live (with a hold to share) or finished, never between.
 	t.mu.Lock()
 	td := t.active[p.traceID]
+	if td != nil {
+		td.mu.Lock()
+		td.open++
+		td.mu.Unlock()
+	}
 	view := t.byID[p.traceID]
 	t.mu.Unlock()
 	if td != nil {
-		td.mu.Lock()
-		if !td.done {
-			td.open++
-			td.mu.Unlock()
-			return t.getSpan(td, p.spanID, name)
-		}
-		td.mu.Unlock()
+		return t.getSpan(td, p.spanID, name)
 	}
 	if view == nil {
 		return nil
@@ -476,12 +473,9 @@ func (s *Span) End() {
 		td.rootName, td.rootDur = s.name, s.dur
 	}
 	td.spans = append(td.spans, s)
-	td.open--
-	fin := td.open == 0
 	td.mu.Unlock()
-	if fin {
-		td.tr.finalize(td)
-	}
+	// td.tr is stable while this span's hold keeps the trace live.
+	td.tr.unref(td)
 }
 
 // endLate appends a finished late span to its stored view.
@@ -533,31 +527,41 @@ func (l Link) Release() {
 	if l.td == nil {
 		return
 	}
-	td := l.td
-	td.mu.Lock()
-	td.open--
-	fin := td.open == 0 && !td.done
-	td.mu.Unlock()
-	if fin {
-		td.tr.finalize(td)
-	}
+	l.td.tr.unref(l.td)
 }
 
-// finalize makes the tail-based keep decision for a completed trace
-// and recycles its transients. Safe against concurrent late Attach:
-// the done flag is settled under td.mu before anything is torn down.
-func (t *Tracer) finalize(td *traceData) {
+// unref drops one hold on a live trace and finalizes the trace when
+// that was the last. A drop that leaves holds behind takes td.mu
+// alone. The drop to zero happens under t.mu, in the same section
+// that removes the trace from active and stores its kept view; Root
+// and Attach take their holds under t.mu too, so they never find a
+// trace at zero holds yet unfinished, and never one already recycled.
+func (t *Tracer) unref(td *traceData) {
 	td.mu.Lock()
-	if td.open != 0 || td.done {
-		// An Attach/Link revived the trace between the zero-crossing
-		// and here; its eventual End re-finalizes.
+	if td.open > 1 {
+		td.open--
 		td.mu.Unlock()
 		return
 	}
-	td.done = true
 	td.mu.Unlock()
-
+	// Possibly the last hold. An Attach may add one before t.mu is
+	// ours, so decide again under both locks.
 	t.mu.Lock()
+	td.mu.Lock()
+	td.open--
+	last := td.open == 0
+	td.mu.Unlock()
+	if !last {
+		t.mu.Unlock()
+		return
+	}
+	t.finalizeLocked(td)
+}
+
+// finalizeLocked makes the tail-based keep decision for a trace whose
+// last hold is gone and recycles its transients. The caller holds
+// t.mu; finalizeLocked releases it.
+func (t *Tracer) finalizeLocked(td *traceData) {
 	delete(t.active, td.id)
 	// Learn the slowest-percentile threshold from recent roots.
 	if len(t.recent) < recentWindow {
@@ -580,7 +584,6 @@ func (t *Tracer) finalize(td *traceData) {
 			t.slowNs.Store(int64(thr))
 		}
 	}
-	t.mu.Unlock()
 
 	reason := ""
 	switch {
@@ -594,13 +597,13 @@ func (t *Tracer) finalize(td *traceData) {
 		reason = "sampled"
 	}
 	if reason == "" {
+		t.mu.Unlock()
 		t.dropped.Add(1)
 		t.release(td)
 		return
 	}
 	t.kept.Add(1)
 	view := buildView(td, reason)
-	t.mu.Lock()
 	if old := t.ring[t.next]; old != nil {
 		delete(t.byID, old.tid)
 		for _, inv := range old.Invocations {

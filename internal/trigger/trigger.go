@@ -119,7 +119,11 @@ func DepthOf(args map[string]string) int {
 	return d
 }
 
-// Event is one platform occurrence routed by the bus.
+// Event is one platform occurrence routed by the bus. Its JSON form
+// (the durable log's payload, a webhook body, a chained method's
+// payload) is written by AppendJSON and is exactly json.Marshal's
+// bytes, so stored payloads from any version of the bus replay
+// through json.Unmarshal unchanged.
 type Event struct {
 	// Seq is a bus-assigned monotone sequence number (process-local,
 	// resets on restart; Offset is the durable coordinate).
@@ -707,8 +711,10 @@ func (b *Bus) Publish(ev Event) {
 // event's Seq and Time, counts the emission, appends them all to the
 // durable log in a single backing write when one is configured (the
 // commit itself was one write, its events should not cost n), stamping
-// each Offset, then enqueues each onto the object's shard under the
-// configured overflow policy. All events must carry the same Object.
+// each Offset. Then, if a subscription filters on the class or a
+// stream is open on the object, it enqueues each onto the object's
+// shard under the configured overflow policy. All events must carry
+// the same Object (and so the same Class).
 func (b *Bus) PublishBatch(evs []Event) {
 	if len(evs) == 0 {
 		return
@@ -736,7 +742,7 @@ func (b *Bus) PublishBatch(evs []Event) {
 		asp.SetInt("events", len(evs))
 		_, err := b.cfg.Log.AppendBatch(b.killCtx, evs[0].Object, len(evs), func(i int, off int64) (json.RawMessage, error) {
 			evs[i].Offset = off
-			return json.Marshal(evs[i])
+			return encodeEvent(&evs[i])
 		})
 		if err != nil {
 			for i := range evs {
@@ -746,6 +752,14 @@ func (b *Bus) PublishBatch(evs []Event) {
 			asp.Error(err)
 		}
 		asp.End()
+	}
+	// Dispatch only what something can receive now. An event nobody
+	// subscribes to would otherwise ride a shard just to be discarded
+	// (or counted dropped when the shard is full); it is in the log
+	// already, and a later subscriber starts at its first matching
+	// event rather than replaying history.
+	if !b.receivable(evs[0].Class, evs[0].Object) {
+		return
 	}
 	for _, ev := range evs {
 		b.enqueue(ev)
@@ -827,9 +841,24 @@ func (b *Bus) NeedsEvents(class string) bool {
 	b.streamMu.Lock()
 	open := len(b.streams)
 	b.streamMu.Unlock()
-	if open > 0 {
+	return open > 0 || b.subscribed(class)
+}
+
+// receivable reports whether dispatch could hand an event of class on
+// object to anyone: NeedsEvents' rule without its log clause, with the
+// stream check narrowed to the object's own tails.
+func (b *Bus) receivable(class, object string) bool {
+	if b.subscribed(class) {
 		return true
 	}
+	b.streamMu.Lock()
+	defer b.streamMu.Unlock()
+	return len(b.streams[object]) > 0
+}
+
+// subscribed reports whether any named or class-declared subscription
+// filters on class.
+func (b *Bus) subscribed(class string) bool {
 	b.subMu.RLock()
 	defer b.subMu.RUnlock()
 	for _, sub := range b.subs {
@@ -869,6 +898,11 @@ func (b *Bus) dispatch(ev Event, matched []Subscription) []Subscription {
 		}
 	}
 	b.subMu.RUnlock()
+	// The span ends before any sink is scheduled: a sink's own span
+	// (webhook.delivery) then never reaches the trace ahead of it.
+	dsp.SetInt("matched", len(matched))
+	dsp.SetAttr("type", string(ev.Type))
+	dsp.End()
 	for _, sub := range matched {
 		if b.cfg.Log != nil && sub.ID != "" && ev.Offset > 0 {
 			// Durable path: the subscription's cursor consumer picks
@@ -883,9 +917,6 @@ func (b *Bus) dispatch(ev Event, matched []Subscription) []Subscription {
 		b.deliverMethodCounted(sub, ev)
 	}
 	b.deliverStreams(ev)
-	dsp.SetInt("matched", len(matched))
-	dsp.SetAttr("type", string(ev.Type))
-	dsp.End()
 	return matched
 }
 
@@ -1121,7 +1152,7 @@ func (b *Bus) deliverMethod(sub Subscription, ev Event) methodOutcome {
 	if target == "" {
 		target = ev.Object
 	}
-	payload, err := json.Marshal(ev)
+	payload, err := encodeEvent(&ev)
 	if err != nil {
 		return methodDropped
 	}
@@ -1161,7 +1192,7 @@ func (b *Bus) deliverMethodCounted(sub Subscription, ev Event) {
 func (b *Bus) deliverWebhook(url string, ev Event, c *subCounters) bool {
 	wsp := b.cfg.Tracer.Attach(ev.Trace, "webhook.delivery")
 	wsp.SetAttr("url", url)
-	payload, err := json.Marshal(ev)
+	payload, err := encodeEvent(&ev)
 	if err != nil {
 		wsp.Error(err)
 		wsp.End()

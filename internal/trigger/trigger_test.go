@@ -351,6 +351,62 @@ func TestOverflowDropCounts(t *testing.T) {
 	}
 }
 
+// TestPublishSkipsDispatchWithoutReceivers: an event that no
+// subscription filters on (by class) and no stream tails (by object)
+// never takes a shard slot, so it cannot be counted dropped however
+// full the shard is; a stream on the object makes it dispatch again.
+// A logged bus still appends every such event.
+func TestPublishSkipsDispatchWithoutReceivers(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	b := newBus(t, Config{
+		Shards: 1, Buffer: 1, Overflow: OverflowDrop,
+		InvokeAsync: func(context.Context, string, string, json.RawMessage, map[string]string) (string, error) {
+			close(started)
+			<-release
+			return "inv", nil
+		},
+	})
+	if err := b.Subscribe("busy", Subscription{Class: "B", Type: StateChanged, TargetFunction: "f"}); err != nil {
+		t.Fatal(err)
+	}
+	// Park the only dispatcher on a B delivery, then publish ten A
+	// events: were they enqueued, nine would overflow the one slot.
+	b.Publish(Event{Type: StateChanged, Class: "B", Object: "b"})
+	<-started
+	other := b.Stream("other", 1)
+	defer other.Close()
+	for i := 0; i < 10; i++ {
+		b.Publish(Event{Type: StateChanged, Class: "A", Object: "o"})
+	}
+	close(release)
+	b.Drain()
+	if s := b.Stats(); s.Emitted != 11 || s.Dropped != 0 || s.Delivered != 1 {
+		t.Fatalf("stats = %+v, want 11 emitted, 0 dropped, 1 delivered", s)
+	}
+	s := b.Stream("o", 1)
+	defer s.Close()
+	b.Publish(Event{Type: StateChanged, Class: "A", Object: "o"})
+	if ev := <-s.Events(); ev.Class != "A" || ev.Object != "o" {
+		t.Fatalf("stream got %+v", ev)
+	}
+
+	st := kvstore.Open(kvstore.Config{})
+	t.Cleanup(func() { st.Close() })
+	l, err := eventlog.New(eventlog.Config{Backing: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	lb := newBus(t, Config{Log: l})
+	for i := 0; i < 5; i++ {
+		lb.Publish(Event{Type: StateChanged, Class: "A", Object: "o"})
+	}
+	lb.Drain()
+	if _, next, err := l.Bounds(context.Background(), "o"); err != nil || next != 6 {
+		t.Fatalf("log next = %d (%v) after 5 undispatched events, want 6", next, err)
+	}
+}
+
 func TestOverflowBlockLosesNothing(t *testing.T) {
 	var delivered atomic.Int64
 	b := newBus(t, Config{
